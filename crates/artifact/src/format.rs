@@ -9,10 +9,15 @@
 //! num_nodes u32  num_internal u32
 //! window.start f64-bits  window.end f64-bits
 //! shard: index u32  count u32  begin u32  end u32
-//! options: store_levels u32  max_levels u32  arc_pruning u8  level_storage u8
+//! options: store_levels u32  max_levels u32
 //! section table: count u32, then per section (id u32, len u64, fnv1a64 u64)
 //! header checksum: fnv1a64 over all preceding header bytes
 //! ```
+//!
+//! The options block holds exactly the two [`ProfileOptions`] fields. A
+//! file of any other version — version 1 included, whose options block
+//! was two bytes longer — is refused with
+//! [`ArtifactError::UnsupportedVersion`].
 //!
 //! Section bodies follow the header sequentially in table order. Unknown
 //! section ids are skipped on load (additive extensions don't bump the
@@ -21,14 +26,14 @@
 
 use crate::codec::{fnv1a64, Reader, Writer};
 use crate::ArtifactError;
-use omnet_core::{ArcPruning, LevelStorage, ProfileOptions};
+use omnet_core::ProfileOptions;
 use omnet_temporal::{Interval, Time};
 
 /// First eight bytes of every profile artifact.
 pub const MAGIC: [u8; 8] = *b"OMNPROF1";
 
 /// The one format version this build writes and reads.
-pub const FORMAT_VERSION: u32 = 1;
+pub const FORMAT_VERSION: u32 = 2;
 
 /// Section id of the profile-rows payload.
 pub const SECTION_ROWS: u32 = 1;
@@ -64,66 +69,17 @@ pub struct ShardRange {
     pub end: u32,
 }
 
-/// Canonical byte encoding of the options knobs that determine profile
-/// content. Errors on knob variants this build does not know (the enums are
-/// `#[non_exhaustive]`) — such options cannot be persisted faithfully.
-fn options_bytes(o: &ProfileOptions) -> Result<[u8; 10], ArtifactError> {
-    let ap = match o.arc_pruning {
-        ArcPruning::Exhaustive => 0u8,
-        ArcPruning::TimeIndexed => 1,
-        _ => {
-            return Err(ArtifactError::Corrupt {
-                context: "unencodable arc_pruning variant",
-            })
-        }
-    };
-    let ls = match o.level_storage {
-        LevelStorage::FullClones => 0u8,
-        LevelStorage::Deltas => 1,
-        _ => {
-            return Err(ArtifactError::Corrupt {
-                context: "unencodable level_storage variant",
-            })
-        }
-    };
+/// Canonical byte encoding of the options that determine profile content.
+fn options_bytes(o: &ProfileOptions) -> [u8; 8] {
     let sl = (o.store_levels.min(u32::MAX as usize) as u32).to_le_bytes();
     let ml = (o.max_levels.min(u32::MAX as usize) as u32).to_le_bytes();
-    Ok([
-        sl[0], sl[1], sl[2], sl[3], ml[0], ml[1], ml[2], ml[3], ap, ls,
-    ])
+    [sl[0], sl[1], sl[2], sl[3], ml[0], ml[1], ml[2], ml[3]]
 }
 
 /// Fingerprint of the engine options: FNV-1a over the canonical encoding.
 /// Two artifacts are query-compatible only when their fingerprints match.
-pub fn options_fingerprint(o: &ProfileOptions) -> Result<u64, ArtifactError> {
-    Ok(fnv1a64(&options_bytes(o)?))
-}
-
-fn decode_options(sl: u32, ml: u32, ap: u8, ls: u8) -> Result<ProfileOptions, ArtifactError> {
-    let arc_pruning = match ap {
-        0 => ArcPruning::Exhaustive,
-        1 => ArcPruning::TimeIndexed,
-        _ => {
-            return Err(ArtifactError::Corrupt {
-                context: "unknown arc_pruning code",
-            })
-        }
-    };
-    let level_storage = match ls {
-        0 => LevelStorage::FullClones,
-        1 => LevelStorage::Deltas,
-        _ => {
-            return Err(ArtifactError::Corrupt {
-                context: "unknown level_storage code",
-            })
-        }
-    };
-    Ok(ProfileOptions::builder()
-        .store_levels(sl as usize)
-        .max_levels(ml as usize)
-        .arc_pruning(arc_pruning)
-        .level_storage(level_storage)
-        .build())
+pub fn options_fingerprint(o: &ProfileOptions) -> u64 {
+    fnv1a64(&options_bytes(o))
 }
 
 /// Serializes the header (including its trailing checksum) for a shard
@@ -142,7 +98,7 @@ pub(crate) fn encode_header(
     w.bytes(&MAGIC);
     w.u32(FORMAT_VERSION);
     w.u32(0); // header_len, patched below
-    w.u64(options_fingerprint(&meta.options)?);
+    w.u64(options_fingerprint(&meta.options));
     w.u16(meta.dataset_key.len() as u16);
     w.bytes(meta.dataset_key.as_bytes());
     w.u32(meta.num_nodes);
@@ -153,7 +109,7 @@ pub(crate) fn encode_header(
     w.u32(range.count);
     w.u32(range.begin);
     w.u32(range.end);
-    w.bytes(&options_bytes(&meta.options)?);
+    w.bytes(&options_bytes(&meta.options));
     w.u32(sections.len() as u32);
     for &(id, len, ck) in sections {
         w.u32(id);
@@ -230,12 +186,11 @@ pub(crate) fn parse_header(
         begin: r.u32("shard begin")?,
         end: r.u32("shard end")?,
     };
-    let sl = r.u32("store_levels")?;
-    let ml = r.u32("max_levels")?;
-    let ap = r.u8("arc_pruning")?;
-    let ls = r.u8("level_storage")?;
-    let options = decode_options(sl, ml, ap, ls)?;
-    if options_fingerprint(&options)? != options_fp {
+    let options = ProfileOptions::builder()
+        .store_levels(r.u32("store_levels")? as usize)
+        .max_levels(r.u32("max_levels")? as usize)
+        .build();
+    if options_fingerprint(&options) != options_fp {
         return Err(ArtifactError::Corrupt {
             context: "options fingerprint does not match stored options",
         });
@@ -365,8 +320,8 @@ mod tests {
 
     #[test]
     fn fingerprint_distinguishes_options() {
-        let a = options_fingerprint(&ProfileOptions::default()).unwrap();
-        let b = options_fingerprint(&ProfileOptions::builder().store_levels(3).build()).unwrap();
+        let a = options_fingerprint(&ProfileOptions::default());
+        let b = options_fingerprint(&ProfileOptions::builder().store_levels(3).build());
         assert_ne!(a, b);
     }
 }

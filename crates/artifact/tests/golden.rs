@@ -2,9 +2,10 @@
 //! `tests/fixtures/` must load with every build. If this test fails after
 //! an intentional format change, bump `FORMAT_VERSION` and regenerate the
 //! fixture with `OMNA_REGEN_GOLDEN=1 cargo test -p omnet-artifact --test
-//! golden`.
+//! golden`, keeping the previous version's shards under
+//! `tests/fixtures/v{N}/` so their refusal stays tested.
 
-use omnet_artifact::{load_set, write_set, ArtifactMeta};
+use omnet_artifact::{load_set, map_set, write_set, ArtifactError, ArtifactMeta, FORMAT_VERSION};
 use omnet_core::{AllPairsProfiles, HopBound, ProfileOptions};
 use omnet_temporal::{NodeId, Trace, TraceBuilder};
 use std::path::{Path, PathBuf};
@@ -27,7 +28,7 @@ fn golden_trace() -> Trace {
 
 fn golden_meta(t: &Trace) -> ArtifactMeta {
     ArtifactMeta {
-        dataset_key: "golden/v1".into(),
+        dataset_key: "golden".into(),
         num_nodes: t.num_nodes(),
         num_internal: t.num_internal(),
         window: t.span(),
@@ -95,4 +96,27 @@ fn golden_fixture_bytes_are_current() {
         );
     }
     std::fs::remove_dir_all(&fresh_dir).ok();
+}
+
+/// Version-1 shards (which still carried the arc-pruning and level-storage
+/// option bytes) are refused by both loaders with the typed version error —
+/// never decoded, never reported as corrupt.
+#[test]
+fn v1_fixture_is_refused_with_a_typed_version_error() {
+    let dir = fixture_dir().join("v1");
+    let expect = |e: ArtifactError| {
+        assert!(
+            matches!(
+                e,
+                ArtifactError::UnsupportedVersion {
+                    found: 1,
+                    supported: 2
+                }
+            ),
+            "v1 shard not refused by version: {e}"
+        );
+    };
+    assert_eq!(FORMAT_VERSION, 2);
+    expect(load_set(&dir).expect_err("v1 set loaded"));
+    expect(map_set(&dir).expect_err("v1 set mapped"));
 }

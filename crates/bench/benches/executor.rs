@@ -21,9 +21,9 @@
 //! ```
 
 use criterion::{black_box, BenchmarkId, Criterion};
+use omnet_bench::gate::time_best_ms;
 use omnet_bench::harness::run_experiments;
 use omnet_bench::{find, substrate, Config, Experiment};
-use std::time::Instant;
 
 /// The pre-PR fork/join helper, kept verbatim as the comparison baseline:
 /// one crossbeam scope — thread spawn plus join — per `par_map` call.
@@ -150,17 +150,6 @@ fn gate_experiments() -> Vec<&'static Experiment> {
         .iter()
         .map(|id| find(id).expect("gate id in registry"))
         .collect()
-}
-
-/// Best-of-`reps` wall-clock milliseconds for `f`.
-fn time_best_ms<T>(reps: usize, mut f: impl FnMut() -> T) -> f64 {
-    let mut best = f64::INFINITY;
-    for _ in 0..reps {
-        let t0 = Instant::now();
-        black_box(f());
-        best = best.min(t0.elapsed().as_secs_f64() * 1e3);
-    }
-    best
 }
 
 /// Runs the end-to-end gate and writes `BENCH_pr4.json` at the repo root.

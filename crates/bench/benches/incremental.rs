@@ -31,7 +31,7 @@
 //! cargo bench -p omnet-bench --bench incremental
 //! ```
 
-use omnet_bench::gate::{peak_rss_bytes, reset_peak_rss};
+use omnet_bench::gate::{json_u64, peak_rss_bytes, reset_peak_rss, time_best_ms};
 use omnet_core::incremental::{ContactDelta, IncrementalProfiles};
 use omnet_core::{AllPairsProfiles, ProfileOptions};
 use omnet_mobility::Dataset;
@@ -47,21 +47,6 @@ const SPEEDUP_FLOOR: f64 = 2.0;
 
 /// Nested removal levels in the sweep.
 const LEVELS: usize = 10;
-
-/// Best-of-`reps` wall-clock milliseconds for `f`.
-fn time_best_ms<T>(reps: usize, mut f: impl FnMut() -> T) -> f64 {
-    let mut best = f64::INFINITY;
-    for _ in 0..reps {
-        let t0 = Instant::now();
-        std::hint::black_box(f());
-        best = best.min(t0.elapsed().as_secs_f64() * 1e3);
-    }
-    best
-}
-
-fn json_u64(v: Option<u64>) -> String {
-    v.map_or_else(|| "null".to_string(), |b| b.to_string())
-}
 
 fn main() {
     let reps = 3;

@@ -17,11 +17,11 @@
 //! ```
 
 use criterion::{black_box, BenchmarkId, Criterion};
-use omnet_core::{AllPairsProfiles, ArcPruning, LevelStorage, ProfileOptions};
+use omnet_bench::gate::time_best_ms;
+use omnet_core::{AllPairsProfiles, ProfileOptions};
 use omnet_mobility::Dataset;
 use omnet_temporal::transform::internal_only;
 use omnet_temporal::Trace;
-use std::time::Instant;
 
 /// The pre-redesign §4.4 inner loop, reconstructed on the public API and
 /// kept verbatim as the comparison baseline: exhaustive arc scans,
@@ -142,55 +142,6 @@ fn bench_all_pairs(c: &mut Criterion) {
     g.finish();
 }
 
-fn bench_knob_ablation(c: &mut Criterion) {
-    let mut g = c.benchmark_group("profile_engine/knob_ablation");
-    g.sample_size(10);
-    let (name, trace) = presets().swap_remove(1);
-    let combos = [
-        (
-            "exhaustive+full",
-            ArcPruning::Exhaustive,
-            LevelStorage::FullClones,
-        ),
-        (
-            "exhaustive+delta",
-            ArcPruning::Exhaustive,
-            LevelStorage::Deltas,
-        ),
-        (
-            "indexed+full",
-            ArcPruning::TimeIndexed,
-            LevelStorage::FullClones,
-        ),
-        (
-            "indexed+delta",
-            ArcPruning::TimeIndexed,
-            LevelStorage::Deltas,
-        ),
-    ];
-    for (label, pruning, storage) in combos {
-        let opts = ProfileOptions::builder()
-            .arc_pruning(pruning)
-            .level_storage(storage)
-            .build();
-        g.bench_with_input(BenchmarkId::new(label, name), &trace, |b, t| {
-            b.iter(|| black_box(AllPairsProfiles::compute(t, opts)));
-        });
-    }
-    g.finish();
-}
-
-/// Best-of-`reps` wall-clock milliseconds for `f`.
-fn time_best_ms<T>(reps: usize, mut f: impl FnMut() -> T) -> f64 {
-    let mut best = f64::INFINITY;
-    for _ in 0..reps {
-        let t0 = Instant::now();
-        black_box(f());
-        best = best.min(t0.elapsed().as_secs_f64() * 1e3);
-    }
-    best
-}
-
 /// Runs the speedup gate and writes `BENCH_pr2.json` at the repo root.
 fn run_gate() {
     let reps = 5;
@@ -220,7 +171,7 @@ fn run_gate() {
     let json = format!(
         "{{\n  \"pr\": 2,\n  \"bench\": \"profile_engine\",\n  \
          \"metric\": \"AllPairsProfiles::compute wall-clock, best of {reps}, \
-         default options (TimeIndexed + Deltas) vs frozen pre-PR inner loop\",\n  \
+         default options (time-indexed pruning + delta levels) vs frozen pre-PR inner loop\",\n  \
          \"threads\": {threads},\n  \"peak_rss_bytes\": {peak_rss},\n  \
          \"presets\": [\n{}\n  ]\n}}\n",
         rows.join(",\n")
@@ -235,6 +186,5 @@ fn run_gate() {
 fn main() {
     let mut criterion = Criterion::default();
     bench_all_pairs(&mut criterion);
-    bench_knob_ablation(&mut criterion);
     run_gate();
 }

@@ -22,7 +22,7 @@
 //! cargo bench -p omnet-bench --bench scaling
 //! ```
 
-use omnet_bench::gate::{peak_rss_bytes, reset_peak_rss};
+use omnet_bench::gate::{json_u64, peak_rss_bytes, reset_peak_rss, time_best_ms};
 use omnet_core::{AllPairsProfiles, ProfileOptions};
 use omnet_mobility::{Dataset, HierarchicalSpec};
 use omnet_temporal::transform::internal_only;
@@ -39,10 +39,12 @@ const SPEEDUP_FLOOR: f64 = 1.25;
 /// The pre-PR8 §4.4 engine, reconstructed on the public API and kept
 /// verbatim as the comparison baseline: per-node `Vec<Vec<_>>` arc lists,
 /// per-destination `Vec` delta frontiers re-scanned densely (O(n)) at every
-/// level, and insert-based absorption via `absorb_into`.
+/// level, and insert-based absorption via `absorb_into`. Only the arm the
+/// gate ever ran is kept: time-indexed arc pruning with delta-run level
+/// storage (the default options of the engine it was frozen from).
 mod prepr8 {
     use omnet_core::delivery::{compact_frontier_in_place, extend_frontier_into};
-    use omnet_core::{ArcPruning, DeliveryFunction, LevelStorage, ProfileOptions};
+    use omnet_core::{DeliveryFunction, ProfileOptions};
     use omnet_temporal::{Interval, LdEa, NodeId, Time, Trace};
 
     /// The old nested-`Vec` arc index (one heap allocation per node).
@@ -62,10 +64,6 @@ mod prepr8 {
                 list.sort_unstable_by_key(|a| (a.1.end, a.1.start, a.0));
             }
             PreArcs { from }
-        }
-
-        pub fn leaving(&self, node: NodeId) -> &[(u32, Interval)] {
-            &self.from[node.index()]
         }
 
         pub fn boardable(&self, node: NodeId, ea: Time) -> &[(u32, Interval)] {
@@ -102,8 +100,6 @@ mod prepr8 {
         #[allow(dead_code)]
         pub unlimited: Vec<DeliveryFunction>,
         #[allow(dead_code)]
-        pub full_levels: Vec<Vec<DeliveryFunction>>,
-        #[allow(dead_code)]
         pub delta_levels: Vec<Vec<(u32, Box<[LdEa]>)>>,
         #[allow(dead_code)]
         pub converged_at: usize,
@@ -123,11 +119,7 @@ mod prepr8 {
         scratch.reset(n);
         scratch.delta[source.index()].push(LdEa::EMPTY);
 
-        let mut full_levels: Vec<Vec<DeliveryFunction>> = Vec::new();
         let mut delta_levels: Vec<Vec<(u32, Box<[LdEa]>)>> = Vec::new();
-        if opts.level_storage == LevelStorage::FullClones {
-            full_levels.push(cur.clone());
-        }
         let mut converged_at = opts.max_levels;
 
         let PreScratch { cands, delta } = scratch;
@@ -136,24 +128,11 @@ mod prepr8 {
                 if d.is_empty() {
                     continue;
                 }
-                let node = NodeId(m as u32);
-                match opts.arc_pruning {
-                    ArcPruning::Exhaustive => {
-                        for &(to, iv) in arcs.leaving(node) {
-                            extend_frontier_into(d, iv, &mut cands[to as usize]);
-                        }
+                for &(to, iv) in arcs.boardable(NodeId(m as u32), d[0].ea) {
+                    if cur[to as usize].covers(iv) {
+                        continue;
                     }
-                    // `ArcPruning` is non-exhaustive; the gate only runs
-                    // default options, so route unknown variants like the
-                    // default.
-                    ArcPruning::TimeIndexed | _ => {
-                        for &(to, iv) in arcs.boardable(node, d[0].ea) {
-                            if cur[to as usize].covers(iv) {
-                                continue;
-                            }
-                            extend_frontier_into(d, iv, &mut cands[to as usize]);
-                        }
-                    }
+                    extend_frontier_into(d, iv, &mut cands[to as usize]);
                 }
             }
             let mut changed = false;
@@ -175,25 +154,19 @@ mod prepr8 {
                 break;
             }
             if k <= opts.store_levels {
-                match opts.level_storage {
-                    // non-exhaustive enum: unknown variants store deltas,
-                    // like the default the gate actually runs
-                    LevelStorage::FullClones => full_levels.push(cur.clone()),
-                    LevelStorage::Deltas | _ => delta_levels.push(
-                        delta
-                            .iter()
-                            .enumerate()
-                            .filter(|(_, d)| !d.is_empty())
-                            .map(|(d_idx, d)| (d_idx as u32, d.clone().into_boxed_slice()))
-                            .collect(),
-                    ),
-                }
+                delta_levels.push(
+                    delta
+                        .iter()
+                        .enumerate()
+                        .filter(|(_, d)| !d.is_empty())
+                        .map(|(d_idx, d)| (d_idx as u32, d.clone().into_boxed_slice()))
+                        .collect(),
+                );
             }
         }
 
         PreSourceProfiles {
             unlimited: cur,
-            full_levels,
             delta_levels,
             converged_at,
         }
@@ -207,21 +180,6 @@ mod prepr8 {
             induct(trace, &arcs, NodeId(s as u32), opts, sc)
         })
     }
-}
-
-/// Best-of-`reps` wall-clock milliseconds for `f`.
-fn time_best_ms<T>(reps: usize, mut f: impl FnMut() -> T) -> f64 {
-    let mut best = f64::INFINITY;
-    for _ in 0..reps {
-        let t0 = Instant::now();
-        std::hint::black_box(f());
-        best = best.min(t0.elapsed().as_secs_f64() * 1e3);
-    }
-    best
-}
-
-fn json_u64(v: Option<u64>) -> String {
-    v.map_or_else(|| "null".to_string(), |b| b.to_string())
 }
 
 fn main() {

@@ -29,7 +29,7 @@
 //! cargo bench -p omnet-bench --bench serve
 //! ```
 
-use omnet_bench::gate::{peak_rss_bytes, reset_peak_rss};
+use omnet_bench::gate::{json_u64, peak_rss_bytes, reset_peak_rss, time_best_ms};
 use omnet_core::ProfileOptions;
 use omnet_mobility::Dataset;
 use omnet_serve::wire::{Client, Request, Response};
@@ -37,7 +37,6 @@ use omnet_serve::{Engine, Query, Server};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::sync::Arc;
-use std::time::Instant;
 
 /// Required loopback/in-process throughput ratio (the PR10 acceptance
 /// floor): serving a batch may at most double its in-process cost.
@@ -45,21 +44,6 @@ const RATIO_FLOOR: f64 = 0.5;
 
 /// Queries per batch request.
 const BATCH: usize = 4096;
-
-/// Best-of-`reps` wall-clock milliseconds for `f`.
-fn time_best_ms<T>(reps: usize, mut f: impl FnMut() -> T) -> f64 {
-    let mut best = f64::INFINITY;
-    for _ in 0..reps {
-        let t0 = Instant::now();
-        std::hint::black_box(f());
-        best = best.min(t0.elapsed().as_secs_f64() * 1e3);
-    }
-    best
-}
-
-fn json_u64(v: Option<u64>) -> String {
-    v.map_or_else(|| "null".to_string(), |b| b.to_string())
-}
 
 fn main() {
     let reps = 5;

@@ -3,7 +3,27 @@
 //! Every gate bench writes a `BENCH_pr<N>.json` at the repository root; the
 //! helpers here keep the measurement columns consistent across PRs —
 //! in particular the memory column, so every gate artifact records how much
-//! resident memory the run actually touched.
+//! resident memory the run actually touched — and give every gate the same
+//! timer.
+
+use std::time::Instant;
+
+/// Best-of-`reps` wall-clock milliseconds for `f`. Each result goes
+/// through [`std::hint::black_box`] so the timed work cannot be elided.
+pub fn time_best_ms<T>(reps: usize, mut f: impl FnMut() -> T) -> f64 {
+    let mut best = f64::INFINITY;
+    for _ in 0..reps {
+        let t0 = Instant::now();
+        std::hint::black_box(f());
+        best = best.min(t0.elapsed().as_secs_f64() * 1e3);
+    }
+    best
+}
+
+/// An optional count as a JSON value: the number, or `null` when absent.
+pub fn json_u64(v: Option<u64>) -> String {
+    v.map_or_else(|| "null".to_string(), |b| b.to_string())
+}
 
 /// Peak resident-set size of this process in bytes, best effort.
 ///
@@ -42,10 +62,7 @@ pub fn reset_peak_rss() -> bool {
 /// [`peak_rss_bytes`] is unsupported — so gate artifacts keep a uniform
 /// schema across platforms.
 pub fn peak_rss_json() -> String {
-    match peak_rss_bytes() {
-        Some(b) => b.to_string(),
-        None => "null".to_string(),
-    }
+    json_u64(peak_rss_bytes())
 }
 
 #[cfg(test)]
@@ -85,6 +102,16 @@ mod tests {
             let after = peak_rss_bytes().unwrap();
             assert!(after <= before, "reset raised HWM: {before} -> {after}");
         }
+    }
+
+    #[test]
+    fn best_of_reps_is_a_finite_minimum() {
+        let mut calls = 0;
+        let ms = time_best_ms(3, || calls += 1);
+        assert_eq!(calls, 3);
+        assert!(ms.is_finite() && ms >= 0.0, "bad timing {ms}");
+        assert_eq!(json_u64(Some(7)), "7");
+        assert_eq!(json_u64(None), "null");
     }
 
     #[test]

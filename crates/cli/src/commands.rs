@@ -200,6 +200,11 @@ pub fn cdf(a: &CdfArgs) -> Result<String, CliError> {
     } else {
         trace
     };
+    if trace.span().duration().as_secs() <= 0.0 {
+        return Err(CliError::domain(
+            "the observation window is empty: no message creation time to draw",
+        ));
+    }
     let horizon = trace.span().duration().as_secs().max(240.0);
     let grid: Vec<Dur> = omnet_analysis::log_grid(120.0_f64.min(horizon / 2.0), horizon, a.points)
         .into_iter()
@@ -772,8 +777,13 @@ pub fn check(a: &CheckArgs) -> Result<String, CliError> {
 mod tests {
     use super::*;
 
+    /// A fresh directory per call: tests run in parallel and must never
+    /// read each other's trace or artifact files.
     fn tempdir() -> std::path::PathBuf {
-        let dir = std::env::temp_dir().join(format!("omnet-cli-{}", std::process::id()));
+        static NEXT: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
+        let n = NEXT.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        let dir = std::env::temp_dir().join(format!("omnet-cli-{}-{n}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
         std::fs::create_dir_all(&dir).unwrap();
         dir
     }
@@ -909,6 +919,41 @@ mod tests {
         .unwrap();
         assert!(out.contains("-diameter"), "{out}");
         assert!(out.contains("diameter per delay"));
+    }
+
+    /// A degenerate trace — no message creation time to draw — is a typed
+    /// domain error (exit 4) from `diameter` and `cdf`, never a panic.
+    fn assert_empty_window_refused(text: &str) {
+        let p = tempdir().join("degenerate.trace");
+        std::fs::write(&p, text).unwrap();
+        let err = diameter(&DiameterArgs {
+            trace: p.clone(),
+            eps: 0.01,
+            max_hops: 6,
+            internal_only: false,
+        })
+        .unwrap_err();
+        assert!(matches!(err, CliError::Domain(_)), "{err}");
+        assert_eq!(err.exit_code(), 4);
+        assert!(err.to_string().contains("window is empty"), "{err}");
+        let err = cdf(&CdfArgs {
+            trace: p,
+            hops: vec![1],
+            points: 5,
+            internal_only: false,
+        })
+        .unwrap_err();
+        assert!(matches!(err, CliError::Domain(_)), "{err}");
+    }
+
+    #[test]
+    fn diameter_of_an_empty_trace_file_is_a_domain_error() {
+        assert_empty_window_refused("");
+    }
+
+    #[test]
+    fn diameter_of_a_zero_length_window_is_a_domain_error() {
+        assert_empty_window_refused("# window 0 0\n");
     }
 
     #[test]

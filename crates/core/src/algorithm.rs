@@ -21,7 +21,7 @@
 //! # Engine hot path
 //!
 //! The engine-level optimizations keep the induction allocation-free,
-//! pruned, and shaped for large `N` (the knobs are differentially tested
+//! pruned, and shaped for large `N` (all of it differentially tested
 //! against [`SourceProfiles::compute_naive`]):
 //!
 //! * **flat CSR arc index** — [`Arcs`] packs all directed arcs into one
@@ -37,9 +37,10 @@
 //!   word-packed dirty/reached bitsets keep every per-level loop
 //!   proportional to the destinations that actually changed, never to the
 //!   node count;
-//! * **delta level storage** — stored hop-class snapshots keep only the
-//!   per-level frontier additions and reconstruct `AtMost(k)` queries on
-//!   demand, cutting snapshot memory by roughly the convergence depth;
+//! * **delta level storage** — stored hop classes keep only the per-level
+//!   frontier additions and reconstruct `AtMost(k)` queries on demand,
+//!   so snapshot memory is `O(Σ frontier)` rather than `O(levels × Σ
+//!   frontier)`;
 //! * **streaming all-pairs** — [`AllPairsProfiles::map_range`] hands each
 //!   source's fixpoint to a visitor as a borrowed [`ProfileView`] and
 //!   recycles the frontiers immediately, so a 10⁵-node all-pairs pass
@@ -86,37 +87,6 @@ pub enum HopBound {
     Unlimited,
 }
 
-/// How the §4.4 induction visits the arcs leaving a node when extending a
-/// level's delta summaries.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-#[non_exhaustive]
-pub enum ArcPruning {
-    /// Visit every out-arc of every delta node (the pre-redesign loop).
-    Exhaustive,
-    /// Binary-search the end-sorted out-arc list to the first arc still
-    /// boardable by the delta's earliest arrival and skip all dead contacts
-    /// (exact: a summary with `EA > end` can never extend, fact (iv) of
-    /// §4.3).
-    #[default]
-    TimeIndexed,
-}
-
-/// How the per-hop-class frontier snapshots of the §4.4 induction are kept
-/// for later [`HopBound::AtMost`] queries.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-#[non_exhaustive]
-pub enum LevelStorage {
-    /// A full clone of all `N` frontiers per stored level: cheapest queries,
-    /// memory `O(levels × Σ frontier)`.
-    FullClones,
-    /// Only the pairs *added* at each level; an `AtMost(k)` query
-    /// reconstructs the frontier as the Pareto union of the deltas up to
-    /// `k`. Memory `O(Σ frontier)` — smaller by roughly the convergence
-    /// depth — at the price of an owned reconstruction per query.
-    #[default]
-    Deltas,
-}
-
 /// Options for the §4.4 profile computation.
 ///
 /// The struct is `#[non_exhaustive]`: construct it through
@@ -139,16 +109,11 @@ pub struct ProfileOptions {
     /// Hard cap on induction levels, as a safety net; the fixpoint in real
     /// traces arrives after about diameter-many levels.
     pub max_levels: usize,
-    /// Arc-visiting strategy of the induction's extension step.
-    pub arc_pruning: ArcPruning,
-    /// Representation of the stored hop-class snapshots.
-    pub level_storage: LevelStorage,
 }
 
 impl ProfileOptions {
     /// Starts a [`ProfileOptionsBuilder`] seeded with the defaults of the
-    /// §4.4 induction (store 10 levels, cap at 64, pruning and delta
-    /// storage on).
+    /// §4.4 induction (store 10 levels, cap at 64).
     pub fn builder() -> ProfileOptionsBuilder {
         ProfileOptionsBuilder {
             opts: ProfileOptions::default(),
@@ -161,8 +126,6 @@ impl Default for ProfileOptions {
         ProfileOptions {
             store_levels: 10,
             max_levels: 64,
-            arc_pruning: ArcPruning::default(),
-            level_storage: LevelStorage::default(),
         }
     }
 }
@@ -189,18 +152,6 @@ impl ProfileOptionsBuilder {
         self
     }
 
-    /// Choose the arc-visiting strategy.
-    pub fn arc_pruning(mut self, p: ArcPruning) -> Self {
-        self.opts.arc_pruning = p;
-        self
-    }
-
-    /// Choose the snapshot representation.
-    pub fn level_storage(mut self, s: LevelStorage) -> Self {
-        self.opts.level_storage = s;
-        self
-    }
-
     /// Finishes the builder.
     pub fn build(self) -> ProfileOptions {
         self.opts
@@ -215,7 +166,7 @@ impl ProfileOptionsBuilder {
 /// across per-source computations (and, via [`Arcs::leaving_contacts`],
 /// with the brute-force oracle and the naive spec).
 ///
-/// The end-sorted order is what makes [`ArcPruning::TimeIndexed`] a binary
+/// The end-sorted order is what makes the induction's arc pruning a binary
 /// search: arcs whose interval ended before a summary's earliest arrival
 /// form a prefix of the row.
 #[derive(Debug, Clone)]
@@ -400,28 +351,9 @@ impl ProfileScratch {
     }
 }
 
-/// Stored hop-class snapshots, in one of the [`LevelStorage`] shapes.
-#[derive(Debug, Clone)]
-enum LevelStore {
-    /// `levels[k][dest]`: full frontier over paths of at most `k` hops.
-    Full(Vec<Vec<DeliveryFunction>>),
-    /// `per_level[k-1]`: the `(dest, added pairs)` of level `k`, ascending
-    /// by dest. Level 0 is implicit (identity at the source).
-    Delta(Vec<Vec<(u32, Box<[LdEa]>)>>),
-}
-
-impl LevelStore {
-    /// Largest hop class stored exactly.
-    fn stored_levels(&self) -> usize {
-        match self {
-            LevelStore::Full(v) => v.len().saturating_sub(1),
-            LevelStore::Delta(v) => v.len(),
-        }
-    }
-}
-
 /// One induction level's stored delta runs: `(dest, added pairs)`,
-/// ascending by destination (§4.4 — the [`LevelStorage::Deltas`] shape).
+/// ascending by destination (§4.4). Level 0 (identity at the source) is
+/// implicit.
 pub(crate) type LevelRuns = Vec<(u32, Box<[LdEa]>)>;
 
 /// Reconstruction seed for a level-suffix replay (§4.4 incremental
@@ -470,7 +402,7 @@ pub(crate) struct RepairSeed<'a> {
 /// themselves (which stay in the scratch for the caller to materialize or
 /// visit in place).
 struct InductionFixpoint {
-    levels: LevelStore,
+    levels: Vec<LevelRuns>,
     converged_at: usize,
     converged: bool,
 }
@@ -480,8 +412,9 @@ struct InductionFixpoint {
 #[derive(Debug, Clone)]
 pub struct SourceProfiles {
     source: NodeId,
-    /// Hop-class snapshots for `k <= min(store_levels, converged_at)`.
-    levels: LevelStore,
+    /// `levels[k-1]`: the delta runs of hop class `k`, for
+    /// `k <= min(store_levels, converged_at)`.
+    levels: Vec<LevelRuns>,
     /// The fixpoint: unbounded hop count.
     unlimited: Vec<DeliveryFunction>,
     /// First level at which no frontier changed (the fixpoint level).
@@ -504,22 +437,6 @@ impl SourceProfiles {
     ) -> SourceProfiles {
         let mut scratch = ProfileScratch::default();
         SourceProfiles::induct(trace, arcs, source, opts, &mut scratch)
-    }
-
-    /// Runs the §4.4 induction for one source, reusing `scratch`'s buffers.
-    #[deprecated(
-        since = "0.1.0",
-        note = "scratch pooling is an engine detail now; use `SourceProfiles::compute` \
-                for one source or `AllPairsProfiles::compute_range` for a batch"
-    )]
-    pub fn compute_with(
-        trace: &Trace,
-        arcs: &Arcs,
-        source: NodeId,
-        opts: ProfileOptions,
-        scratch: &mut ProfileScratch,
-    ) -> SourceProfiles {
-        SourceProfiles::induct(trace, arcs, source, opts, scratch)
     }
 
     /// The materializing induction entry point: runs
@@ -604,14 +521,10 @@ impl SourceProfiles {
         }
     }
 
-    /// The stored per-level delta runs under [`LevelStorage::Deltas`]
-    /// (`None` under full clones) — the reconstruction substrate for
+    /// The stored per-level delta runs — the reconstruction substrate for
     /// suffix replays (§4.4).
-    pub(crate) fn delta_runs(&self) -> Option<&[LevelRuns]> {
-        match &self.levels {
-            LevelStore::Delta(v) => Some(v),
-            LevelStore::Full(_) => None,
-        }
+    pub(crate) fn delta_runs(&self) -> &[LevelRuns] {
+        &self.levels
     }
 
     /// The induction body shared by every entry point, materializing or
@@ -643,8 +556,7 @@ impl SourceProfiles {
     /// run at all: the frontier state they would produce is reconstructed
     /// by re-absorbing the stored delta runs (each run re-adds exactly, so
     /// the state is byte-identical), and the replay starts at
-    /// `prefix.len() + 1`. Requires [`LevelStorage::Deltas`] and `deps`
-    /// recording.
+    /// `prefix.len() + 1`. Requires `deps` recording.
     fn induct_core(
         trace: &Trace,
         arcs: &Arcs,
@@ -680,15 +592,11 @@ impl SourceProfiles {
         reached_words[src >> 6] |= 1u64 << (src & 63);
         reached.push(source.0);
 
-        let mut full_levels: Vec<Vec<DeliveryFunction>> = Vec::new();
-        let mut delta_levels: Vec<Vec<(u32, Box<[LdEa]>)>> = Vec::new();
+        let mut levels: Vec<LevelRuns> = Vec::new();
         let start_level = match suffix {
             None => {
                 arena.push(LdEa::EMPTY);
                 delta_index.push((source.0, 0, 1));
-                if opts.level_storage == LevelStorage::FullClones {
-                    full_levels.push(cur[..n].to_vec());
-                }
                 1
             }
             Some(seed) => {
@@ -701,11 +609,6 @@ impl SourceProfiles {
                 debug_assert!(
                     !seed.prefix.is_empty(),
                     "suffix replay starts at level >= 2; use a full induction instead"
-                );
-                debug_assert_eq!(
-                    opts.level_storage,
-                    LevelStorage::Deltas,
-                    "suffix replay reconstructs from stored delta runs"
                 );
                 for runs in seed.prefix {
                     for (t, run) in runs.iter() {
@@ -729,7 +632,7 @@ impl SourceProfiles {
                         delta_index.push((*t, lo, arena.len() as u32));
                     }
                 }
-                delta_levels.extend(seed.prefix.iter().cloned());
+                levels.extend(seed.prefix.iter().cloned());
                 seed.prefix.len() + 1
             }
         };
@@ -864,81 +767,48 @@ impl SourceProfiles {
                 // `d` is a compacted frontier, so its first pair carries the
                 // minimum EA — the boardability threshold for the whole
                 // delta.
-                match opts.arc_pruning {
-                    ArcPruning::Exhaustive => {
-                        let cids = arcs.leaving_contacts(node);
-                        for (j, &(to, iv)) in arcs.leaving(node).iter().enumerate() {
-                            let t = to as usize;
-                            if filtered && affected_words[t >> 6] & (1u64 << (t & 63)) == 0 {
-                                continue;
-                            }
-                            if dirty[t >> 6] & (1u64 << (t & 63)) == 0 {
-                                dirty[t >> 6] |= 1u64 << (t & 63);
-                                touched.push(to);
-                            }
-                            let before = cands[t].len();
-                            delivery::extend_frontier_into(d, iv, &mut cands[t]);
-                            if deps.is_some() && cands[t].len() > before {
-                                let cid = cids[j].0;
-                                if !dep_seen[cid as usize] {
-                                    for &p in &cands[t][before..] {
-                                        tags[t].push((p, cid));
-                                    }
+                let boardable = arcs.boardable(node, d[0].ea);
+                let cut = arcs.leaving(node).len() - boardable.len();
+                time_pruned += cut as u64;
+                let min_ea = d[0].ea;
+                let max_ld = d[d.len() - 1].ld;
+                for (j, &(to, iv)) in boardable.iter().enumerate() {
+                    let t = to as usize;
+                    if filtered && affected_words[t >> 6] & (1u64 << (t & 63)) == 0 {
+                        continue;
+                    }
+                    // Every candidate this arc can produce is weakly
+                    // dominated by the batch corner `(min(max LD, end),
+                    // max(min EA, start))`; if the destination frontier
+                    // dominates even the corner, the whole arc is dead
+                    // (exact skip, strictly stronger than testing the arc
+                    // rectangle alone).
+                    let corner = LdEa {
+                        ld: max_ld.min(iv.end),
+                        ea: min_ea.max(iv.start),
+                    };
+                    if cur[t].dominates_point(corner.ld, corner.ea) {
+                        cover_skipped += 1;
+                        continue;
+                    }
+                    // Region-structured extension with the dominance
+                    // filter fused in: candidates the frontier already
+                    // dominates never reach the absorb step (the added set
+                    // is unchanged).
+                    let before = cands[t].len();
+                    delivery::extend_frontier_filtered_into(d, iv, cur[t].pairs(), &mut cands[t]);
+                    if cands[t].len() > before {
+                        if deps.is_some() {
+                            let cid = arcs.leaving_contacts(node)[cut + j].0;
+                            if !dep_seen[cid as usize] {
+                                for &p in &cands[t][before..] {
+                                    tags[t].push((p, cid));
                                 }
                             }
                         }
-                    }
-                    ArcPruning::TimeIndexed => {
-                        let boardable = arcs.boardable(node, d[0].ea);
-                        let cut = arcs.leaving(node).len() - boardable.len();
-                        time_pruned += cut as u64;
-                        let min_ea = d[0].ea;
-                        let max_ld = d[d.len() - 1].ld;
-                        for (j, &(to, iv)) in boardable.iter().enumerate() {
-                            let t = to as usize;
-                            if filtered && affected_words[t >> 6] & (1u64 << (t & 63)) == 0 {
-                                continue;
-                            }
-                            // Every candidate this arc can produce is
-                            // weakly dominated by the batch corner
-                            // `(min(max LD, end), max(min EA, start))`; if
-                            // the destination frontier dominates even the
-                            // corner, the whole arc is dead (exact skip,
-                            // strictly stronger than testing the arc
-                            // rectangle alone).
-                            let corner = LdEa {
-                                ld: max_ld.min(iv.end),
-                                ea: min_ea.max(iv.start),
-                            };
-                            if cur[t].dominates_point(corner.ld, corner.ea) {
-                                cover_skipped += 1;
-                                continue;
-                            }
-                            // Region-structured extension with the
-                            // dominance filter fused in: candidates the
-                            // frontier already dominates never reach the
-                            // absorb step (the added set is unchanged).
-                            let before = cands[t].len();
-                            delivery::extend_frontier_filtered_into(
-                                d,
-                                iv,
-                                cur[t].pairs(),
-                                &mut cands[t],
-                            );
-                            if cands[t].len() > before {
-                                if deps.is_some() {
-                                    let cid = arcs.leaving_contacts(node)[cut + j].0;
-                                    if !dep_seen[cid as usize] {
-                                        for &p in &cands[t][before..] {
-                                            tags[t].push((p, cid));
-                                        }
-                                    }
-                                }
-                                if dirty[t >> 6] & (1u64 << (t & 63)) == 0 {
-                                    dirty[t >> 6] |= 1u64 << (t & 63);
-                                    touched.push(to);
-                                }
-                            }
+                        if dirty[t >> 6] & (1u64 << (t & 63)) == 0 {
+                            dirty[t >> 6] |= 1u64 << (t & 63);
+                            touched.push(to);
                         }
                     }
                 }
@@ -946,8 +816,8 @@ impl SourceProfiles {
             // Absorption: fold candidates into the frontiers of exactly the
             // touched destinations, recording what genuinely extended them
             // as the next level's arena runs. Touched ids are sorted so the
-            // runs ascend by destination (the Deltas store binary-searches
-            // them, and determinism requires a canonical order).
+            // runs ascend by destination (stored levels binary-search them,
+            // and determinism requires a canonical order).
             touched.sort_unstable();
             frontier_touched += touched.len() as u64;
             arena.clear();
@@ -1088,20 +958,12 @@ impl SourceProfiles {
                 break;
             }
             if k <= opts.store_levels {
-                match opts.level_storage {
-                    LevelStorage::FullClones => full_levels.push(cur[..n].to_vec()),
-                    LevelStorage::Deltas => delta_levels.push(
-                        delta_index
-                            .iter()
-                            .map(|&(t, lo, hi)| {
-                                (
-                                    t,
-                                    arena[lo as usize..hi as usize].to_vec().into_boxed_slice(),
-                                )
-                            })
-                            .collect(),
-                    ),
-                }
+                levels.push(
+                    delta_index
+                        .iter()
+                        .map(|&(t, lo, hi)| (t, arena[lo as usize..hi as usize].into()))
+                        .collect(),
+                );
             }
         }
 
@@ -1112,10 +974,6 @@ impl SourceProfiles {
         FRONTIER_TOUCHED.add(frontier_touched);
         ARENA_HWM.record_max(arena_hwm);
 
-        let levels = match opts.level_storage {
-            LevelStorage::FullClones => LevelStore::Full(full_levels),
-            LevelStorage::Deltas => LevelStore::Delta(delta_levels),
-        };
         InductionFixpoint {
             levels,
             converged_at,
@@ -1130,9 +988,9 @@ impl SourceProfiles {
     /// Output is identical to [`SourceProfiles::compute`] (asserted by tests
     /// and used as an executable specification); the cost per level is the
     /// whole frontier instead of the just-added pairs, which is the
-    /// difference the `ablation` criterion bench quantifies. The
-    /// `arc_pruning` and `level_storage` knobs are ignored: the spec always
-    /// scans every arc and stores full snapshots.
+    /// difference the `ablation` criterion bench quantifies. The spec scans
+    /// every arc and stores each hop class as the diff of two consecutive
+    /// full snapshots.
     pub fn compute_naive(
         trace: &Trace,
         arcs: &Arcs,
@@ -1145,7 +1003,7 @@ impl SourceProfiles {
 
         let mut cur: Vec<DeliveryFunction> = vec![DeliveryFunction::empty(); n];
         cur[source.index()] = DeliveryFunction::identity();
-        let mut levels: Vec<Vec<DeliveryFunction>> = vec![cur.clone()];
+        let mut levels: Vec<LevelRuns> = Vec::new();
         let mut converged_at = opts.max_levels;
         let mut converged = false;
 
@@ -1173,13 +1031,13 @@ impl SourceProfiles {
                 break;
             }
             if k <= opts.store_levels {
-                levels.push(cur.clone());
+                levels.push(level_diff(&prev, &cur));
             }
         }
 
         SourceProfiles {
             source,
-            levels: LevelStore::Full(levels),
+            levels,
             unlimited: cur,
             converged_at,
             converged,
@@ -1195,32 +1053,25 @@ impl SourceProfiles {
     ///
     /// `AtMost(k)` beyond the stored levels returns the unbounded frontier,
     /// which is exact whenever `k >= converged_at` and an upper bound
-    /// otherwise. Under [`LevelStorage::FullClones`] the result always
-    /// borrows; under [`LevelStorage::Deltas`] a stored `AtMost(k)` query
-    /// reconstructs the frontier as the Pareto union of the level deltas
-    /// `0..=k` and returns it owned.
+    /// otherwise. A stored `AtMost(k)` query reconstructs the frontier as
+    /// the Pareto union of the level deltas `0..=k` and returns it owned.
     pub fn profile(&self, dest: NodeId, bound: HopBound) -> Cow<'_, DeliveryFunction> {
         match bound {
             HopBound::Unlimited => Cow::Borrowed(&self.unlimited[dest.index()]),
             HopBound::AtMost(k) => {
-                if k > self.levels.stored_levels() {
+                if k > self.levels.len() {
                     return Cow::Borrowed(&self.unlimited[dest.index()]);
                 }
-                match &self.levels {
-                    LevelStore::Full(v) => Cow::Borrowed(&v[k][dest.index()]),
-                    LevelStore::Delta(per_level) => {
-                        let mut pairs: Vec<LdEa> = Vec::new();
-                        if dest == self.source {
-                            pairs.push(LdEa::EMPTY);
-                        }
-                        for level in &per_level[..k] {
-                            if let Ok(i) = level.binary_search_by_key(&dest.0, |(d, _)| *d) {
-                                pairs.extend_from_slice(&level[i].1);
-                            }
-                        }
-                        Cow::Owned(DeliveryFunction::from_pairs(pairs))
+                let mut pairs: Vec<LdEa> = Vec::new();
+                if dest == self.source {
+                    pairs.push(LdEa::EMPTY);
+                }
+                for level in &self.levels[..k] {
+                    if let Ok(i) = level.binary_search_by_key(&dest.0, |(d, _)| *d) {
+                        pairs.extend_from_slice(&level[i].1);
                     }
                 }
+                Cow::Owned(DeliveryFunction::from_pairs(pairs))
             }
         }
     }
@@ -1249,7 +1100,7 @@ impl SourceProfiles {
 
     /// Largest `k` for which `AtMost(k)` snapshots are stored exactly.
     pub fn stored_levels(&self) -> usize {
-        self.levels.stored_levels()
+        self.levels.len()
     }
 
     /// Number of nodes in the trace this row was computed for.
@@ -1257,40 +1108,16 @@ impl SourceProfiles {
         self.unlimited.len()
     }
 
-    /// Decomposes this row into its portable, storage-agnostic parts for
-    /// persistence.
+    /// Decomposes this row into its portable parts for persistence.
     ///
-    /// The parts hold level deltas regardless of the in-memory
-    /// [`LevelStorage`]: under [`LevelStorage::FullClones`] each stored
-    /// level is diffed against its predecessor first. The decomposition is
-    /// lossless up to frontier semantics — reassembling with
-    /// [`SourceProfiles::from_parts`] yields a row whose
+    /// The decomposition is lossless up to frontier semantics —
+    /// reassembling with [`SourceProfiles::from_parts`] yields a row whose
     /// [`SourceProfiles::profile`] answers are identical for every
     /// `(dest, bound)` (Pareto union is insensitive to which dominated
     /// pairs a delta happened to record).
     pub fn to_parts(&self) -> SourceProfileParts {
         let n = self.unlimited.len();
-        let levels: Vec<Vec<(u32, Box<[LdEa]>)>> = match &self.levels {
-            LevelStore::Delta(per_level) => per_level.clone(),
-            LevelStore::Full(v) => (1..v.len())
-                .map(|k| {
-                    let mut out: Vec<(u32, Box<[LdEa]>)> = Vec::new();
-                    for (d, (cur, prev)) in v[k].iter().zip(&v[k - 1]).enumerate() {
-                        let prev = prev.pairs();
-                        let diff: Vec<LdEa> = cur
-                            .pairs()
-                            .iter()
-                            .copied()
-                            .filter(|p| !prev.contains(p))
-                            .collect();
-                        if !diff.is_empty() {
-                            out.push((d as u32, diff.into_boxed_slice()));
-                        }
-                    }
-                    out
-                })
-                .collect(),
-        };
+        let levels = self.levels.clone();
         // Tail: unbounded-frontier pairs not present in any stored delta
         // (levels past `store_levels`, or everything when no levels are
         // stored). Every *stored* pair is weakly dominated by some final
@@ -1329,13 +1156,8 @@ impl SourceProfiles {
     ///
     /// Rejects out-of-range nodes, unsorted destination runs, and runs that
     /// are not valid Pareto frontiers with a typed [`ProfilePartsError`] —
-    /// corrupted input never yields a row that answers garbage. `storage`
-    /// chooses the in-memory snapshot representation to rebuild; it need
-    /// not match the representation the parts were taken from.
-    pub fn from_parts(
-        parts: SourceProfileParts,
-        storage: LevelStorage,
-    ) -> Result<SourceProfiles, ProfilePartsError> {
+    /// corrupted input never yields a row that answers garbage.
+    pub fn from_parts(parts: SourceProfileParts) -> Result<SourceProfiles, ProfilePartsError> {
         let n = parts.num_nodes as usize;
         if parts.source.index() >= n {
             return Err(ProfilePartsError::NodeOutOfRange {
@@ -1386,35 +1208,34 @@ impl SourceProfiles {
             .map(|pairs| DeliveryFunction::from_pairs(pairs.clone()))
             .collect();
 
-        let levels = match storage {
-            LevelStorage::Deltas => LevelStore::Delta(parts.levels),
-            LevelStorage::FullClones => {
-                let mut cum: Vec<Vec<LdEa>> = vec![Vec::new(); n];
-                cum[src].push(LdEa::EMPTY);
-                let mut row: Vec<DeliveryFunction> = vec![DeliveryFunction::empty(); n];
-                row[src] = DeliveryFunction::identity();
-                let mut full: Vec<Vec<DeliveryFunction>> = vec![row];
-                for level in &parts.levels {
-                    for (d, pairs) in level {
-                        cum[*d as usize].extend_from_slice(pairs);
-                    }
-                    full.push(
-                        cum.iter()
-                            .map(|pairs| DeliveryFunction::from_pairs(pairs.clone()))
-                            .collect(),
-                    );
-                }
-                LevelStore::Full(full)
-            }
-        };
         Ok(SourceProfiles {
             source: parts.source,
-            levels,
+            levels: parts.levels,
             unlimited,
             converged_at: parts.converged_at as usize,
             converged: parts.converged,
         })
     }
+}
+
+/// The pairs of each frontier in `cur` absent from its counterpart in
+/// `prev`, as delta runs ascending by destination — how the naive spec
+/// turns two consecutive full snapshots into one stored hop class.
+fn level_diff(prev: &[DeliveryFunction], cur: &[DeliveryFunction]) -> LevelRuns {
+    let mut out = LevelRuns::new();
+    for (d, (cur, prev)) in cur.iter().zip(prev).enumerate() {
+        let prev = prev.pairs();
+        let diff: Vec<LdEa> = cur
+            .pairs()
+            .iter()
+            .copied()
+            .filter(|p| !prev.contains(p))
+            .collect();
+        if !diff.is_empty() {
+            out.push((d as u32, diff.into_boxed_slice()));
+        }
+    }
+    out
 }
 
 /// Portable decomposition of one [`SourceProfiles`] row — the level deltas
@@ -1780,20 +1601,37 @@ mod tests {
             .build()
     }
 
-    /// Every knob combination, for exhaustive option-space tests.
+    /// The default options plus a truncated-storage variant that exercises
+    /// the beyond-stored-levels fallback.
     fn knob_combos() -> Vec<ProfileOptions> {
-        let mut out = Vec::new();
-        for pruning in [ArcPruning::Exhaustive, ArcPruning::TimeIndexed] {
-            for storage in [LevelStorage::FullClones, LevelStorage::Deltas] {
-                out.push(
-                    ProfileOptions::builder()
-                        .arc_pruning(pruning)
-                        .level_storage(storage)
-                        .build(),
-                );
+        vec![
+            ProfileOptions::default(),
+            ProfileOptions::builder().store_levels(2).build(),
+        ]
+    }
+
+    /// What `AtMost(k)` must answer under `opts`, computed without reading
+    /// any stored level: the naive spec's fixpoint frontier capped at `k`
+    /// levels while `k` is stored, its uncapped fixpoint beyond.
+    fn at_most_reference(
+        t: &Trace,
+        arcs: &Arcs,
+        s: NodeId,
+        d: NodeId,
+        opts: ProfileOptions,
+        k: usize,
+    ) -> DeliveryFunction {
+        let capped = if k <= opts.store_levels {
+            ProfileOptions {
+                max_levels: k,
+                ..opts
             }
-        }
-        out
+        } else {
+            opts
+        };
+        SourceProfiles::compute_naive(t, arcs, s, capped)
+            .profile(d, HopBound::Unlimited)
+            .into_owned()
     }
 
     #[test]
@@ -1806,13 +1644,9 @@ mod tests {
         let custom = ProfileOptions::builder()
             .store_levels(3)
             .max_levels(7)
-            .arc_pruning(ArcPruning::Exhaustive)
-            .level_storage(LevelStorage::FullClones)
             .build();
         assert_eq!(custom.store_levels, 3);
         assert_eq!(custom.max_levels, 7);
-        assert_eq!(custom.arc_pruning, ArcPruning::Exhaustive);
-        assert_eq!(custom.level_storage, LevelStorage::FullClones);
     }
 
     #[test]
@@ -2086,7 +1920,7 @@ mod tests {
 
     #[test]
     fn naive_variant_is_equivalent() {
-        let t = TraceBuilder::new()
+        let dense = TraceBuilder::new()
             .contact_secs(0, 1, 0.0, 10.0)
             .contact_secs(1, 2, 5.0, 15.0)
             .contact_secs(0, 2, 12.0, 20.0)
@@ -2094,32 +1928,7 @@ mod tests {
             .contact_secs(1, 3, 2.0, 3.0)
             .contact_secs(0, 3, 30.0, 35.0)
             .build();
-        let arcs = Arcs::of(&t);
-        for opts in knob_combos() {
-            for s in 0..4u32 {
-                let fast = SourceProfiles::compute(&t, &arcs, NodeId(s), opts);
-                let naive = SourceProfiles::compute_naive(&t, &arcs, NodeId(s), opts);
-                assert_eq!(fast.converged_at(), naive.converged_at());
-                for d in 0..4u32 {
-                    for k in 0..=4usize {
-                        assert_eq!(
-                            fast.profile(NodeId(d), HopBound::AtMost(k)).pairs(),
-                            naive.profile(NodeId(d), HopBound::AtMost(k)).pairs(),
-                            "{s}->{d} at k={k} with {opts:?}"
-                        );
-                    }
-                    assert_eq!(
-                        fast.profile(NodeId(d), HopBound::Unlimited).pairs(),
-                        naive.profile(NodeId(d), HopBound::Unlimited).pairs()
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn delta_levels_match_full_clone_levels() {
-        let t = TraceBuilder::new()
+        let repeated = TraceBuilder::new()
             .contact_secs(0, 1, 0.0, 10.0)
             .contact_secs(1, 2, 5.0, 15.0)
             .contact_secs(0, 2, 12.0, 20.0)
@@ -2127,24 +1936,34 @@ mod tests {
             .contact_secs(0, 1, 100.0, 110.0)
             .contact_secs(1, 3, 105.0, 130.0)
             .build();
-        let arcs = Arcs::of(&t);
-        let full = ProfileOptions::builder()
-            .level_storage(LevelStorage::FullClones)
-            .build();
-        let delta = ProfileOptions::builder()
-            .level_storage(LevelStorage::Deltas)
-            .build();
-        for s in 0..4u32 {
-            let a = SourceProfiles::compute(&t, &arcs, NodeId(s), full);
-            let b = SourceProfiles::compute(&t, &arcs, NodeId(s), delta);
-            assert_eq!(a.stored_levels(), b.stored_levels());
-            for d in 0..4u32 {
-                for k in 0..=a.stored_levels() + 2 {
-                    assert_eq!(
-                        a.profile(NodeId(d), HopBound::AtMost(k)).pairs(),
-                        b.profile(NodeId(d), HopBound::AtMost(k)).pairs(),
-                        "{s}->{d} at k={k}"
-                    );
+        for t in [dense, repeated] {
+            let arcs = Arcs::of(&t);
+            for opts in knob_combos() {
+                for s in 0..4u32 {
+                    let fast = SourceProfiles::compute(&t, &arcs, NodeId(s), opts);
+                    let naive = SourceProfiles::compute_naive(&t, &arcs, NodeId(s), opts);
+                    assert_eq!(fast.converged_at(), naive.converged_at());
+                    assert_eq!(fast.stored_levels(), naive.stored_levels());
+                    for d in 0..4u32 {
+                        for k in 0..=fast.stored_levels().max(4) + 2 {
+                            let expect =
+                                at_most_reference(&t, &arcs, NodeId(s), NodeId(d), opts, k);
+                            assert_eq!(
+                                fast.profile(NodeId(d), HopBound::AtMost(k)).pairs(),
+                                expect.pairs(),
+                                "{s}->{d} at k={k} with {opts:?}"
+                            );
+                            assert_eq!(
+                                naive.profile(NodeId(d), HopBound::AtMost(k)).pairs(),
+                                expect.pairs(),
+                                "naive {s}->{d} at k={k} with {opts:?}"
+                            );
+                        }
+                        assert_eq!(
+                            fast.profile(NodeId(d), HopBound::Unlimited).pairs(),
+                            naive.profile(NodeId(d), HopBound::Unlimited).pairs()
+                        );
+                    }
                 }
             }
         }
@@ -2184,23 +2003,6 @@ mod tests {
     }
 
     #[test]
-    #[allow(deprecated)]
-    fn deprecated_compute_with_forwards() {
-        let t = line_trace();
-        let arcs = Arcs::of(&t);
-        let mut scratch = ProfileScratch::new();
-        let opts = ProfileOptions::default();
-        let old = SourceProfiles::compute_with(&t, &arcs, NodeId(0), opts, &mut scratch);
-        let new = SourceProfiles::compute(&t, &arcs, NodeId(0), opts);
-        for d in 0..4u32 {
-            assert_eq!(
-                old.profile(NodeId(d), HopBound::Unlimited).pairs(),
-                new.profile(NodeId(d), HopBound::Unlimited).pairs()
-            );
-        }
-    }
-
-    #[test]
     fn compute_range_matches_full_compute() {
         let t = TraceBuilder::new()
             .contact_secs(0, 1, 0.0, 10.0)
@@ -2236,7 +2038,7 @@ mod tests {
     }
 
     #[test]
-    fn parts_roundtrip_every_knob_combo() {
+    fn parts_roundtrip_every_store_depth() {
         let t = TraceBuilder::new()
             .contact_secs(0, 1, 0.0, 10.0)
             .contact_secs(1, 2, 5.0, 15.0)
@@ -2249,18 +2051,14 @@ mod tests {
         // Include a low store_levels so the tail is exercised.
         let mut combos = knob_combos();
         combos.push(ProfileOptions::builder().store_levels(1).build());
-        combos.push(
-            ProfileOptions::builder()
-                .store_levels(0)
-                .level_storage(LevelStorage::FullClones)
-                .build(),
-        );
+        combos.push(ProfileOptions::builder().store_levels(0).build());
         for opts in combos {
             for s in 0..4u32 {
                 let orig = SourceProfiles::compute(&t, &arcs, NodeId(s), opts);
-                for rebuilt_as in [LevelStorage::Deltas, LevelStorage::FullClones] {
-                    let back = SourceProfiles::from_parts(orig.to_parts(), rebuilt_as)
-                        .expect("own parts are valid");
+                let naive = SourceProfiles::compute_naive(&t, &arcs, NodeId(s), opts);
+                for (what, from) in [("engine", &orig), ("naive", &naive)] {
+                    let back =
+                        SourceProfiles::from_parts(from.to_parts()).expect("own parts are valid");
                     assert_eq!(back.source(), orig.source());
                     assert_eq!(back.converged_at(), orig.converged_at());
                     assert_eq!(back.converged(), orig.converged());
@@ -2271,7 +2069,7 @@ mod tests {
                             assert_eq!(
                                 back.profile(NodeId(d), HopBound::AtMost(k)).pairs(),
                                 orig.profile(NodeId(d), HopBound::AtMost(k)).pairs(),
-                                "{s}->{d} at k={k} with {opts:?} rebuilt as {rebuilt_as:?}"
+                                "{s}->{d} at k={k} with {opts:?} rebuilt from {what} parts"
                             );
                         }
                         assert_eq!(
@@ -2293,7 +2091,7 @@ mod tests {
         let mut bad = good.to_parts();
         bad.source = NodeId(99);
         assert!(matches!(
-            SourceProfiles::from_parts(bad, LevelStorage::Deltas),
+            SourceProfiles::from_parts(bad),
             Err(ProfilePartsError::NodeOutOfRange { node: 99, .. })
         ));
 
@@ -2307,7 +2105,7 @@ mod tests {
             }
         }
         assert!(matches!(
-            SourceProfiles::from_parts(bad, LevelStorage::Deltas),
+            SourceProfiles::from_parts(bad),
             Err(ProfilePartsError::UnsortedDestinations { level: Some(1) })
         ));
 
@@ -2319,7 +2117,7 @@ mod tests {
             *pairs = v.into_boxed_slice();
         }
         assert!(matches!(
-            SourceProfiles::from_parts(bad, LevelStorage::Deltas),
+            SourceProfiles::from_parts(bad),
             Err(ProfilePartsError::InvalidFrontier { level: Some(1), .. })
         ));
     }

@@ -42,7 +42,7 @@
 //! the removed contacts replay byte-identically (their absorbed sets
 //! cannot mention the removed contacts), so the engine reconstructs the
 //! induction state at that level from the row's stored
-//! [`LevelStorage::Deltas`](crate::LevelStorage) runs and re-runs only
+//! per-level delta runs and re-runs only
 //! the suffix. When the old induction converged inside its stored runs
 //! the suffix additionally runs in **repair mode**: per level the
 //! induction tracks the *affected set* — destinations whose candidate
@@ -319,7 +319,7 @@ impl IncrementalProfiles {
         let mut repaired_rows = 0usize;
         for (s, mark) in dirty.iter().enumerate() {
             let Some(level) = *mark else { continue };
-            let stored = self.rows[s].delta_runs().map_or(0, <[_]>::len);
+            let stored = self.rows[s].delta_runs().len();
             let from_level = if level as usize <= stored + 1 {
                 level
             } else {
@@ -579,13 +579,9 @@ fn compute_rows(
         let task = &tasks[i];
         let source = NodeId(task.source);
         let mut raw: Vec<(u32, u32)> = Vec::new();
-        let runs = if task.from_level >= 2 {
-            old_rows[task.source as usize]
-                .delta_runs()
-                .filter(|runs| runs.len() + 1 >= task.from_level as usize)
-        } else {
-            None
-        };
+        let runs = (task.from_level >= 2)
+            .then(|| old_rows[task.source as usize].delta_runs())
+            .filter(|runs| runs.len() + 1 >= task.from_level as usize);
         let row = match runs {
             Some(runs) => {
                 let split = task.from_level as usize - 1;

@@ -45,7 +45,7 @@
 #![deny(missing_docs)]
 
 mod counter;
-mod json;
+pub mod json;
 mod record;
 pub(crate) mod sync;
 
@@ -250,7 +250,7 @@ mod tests {
     #[test]
     fn file_sink_round_trip() {
         let _gate = serial();
-        let dir = std::env::temp_dir().join("omnet-obs-test");
+        let dir = std::env::temp_dir().join(format!("omnet-obs-test-{}", std::process::id()));
         std::fs::create_dir_all(&dir).expect("temp dir");
         let path = dir.join("trace.jsonl");
         install_file(&path).expect("create sink");

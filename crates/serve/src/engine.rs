@@ -338,6 +338,14 @@ impl Engine {
                 message: "max-hops must be positive".into(),
             });
         }
+        // Message creation times are drawn from the window; an empty (or
+        // degenerate) window has none, so no success curve is defined.
+        let window_len = self.meta.window.duration().as_secs();
+        if window_len.is_nan() || window_len <= 0.0 {
+            return Err(QueryError::BadParameter {
+                message: "the observation window is empty: no message creation time to draw".into(),
+            });
+        }
         // Same grid construction as direct computation over the trace, so
         // both backends evaluate the identical delay budgets.
         let horizon = self.meta.window.duration().as_secs().max(240.0);

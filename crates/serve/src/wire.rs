@@ -8,22 +8,23 @@
 //! exactly the values an in-process [`crate::Engine`] would have returned —
 //! rendering them byte-identically.
 //!
-//! The JSON codec is hand-rolled (flat recursive descent, no external
-//! dependencies) and numeric fidelity is load-bearing: `f64`s are written
-//! with Rust's shortest-roundtrip formatting and parsed back exactly, and
-//! `u64`s are carried as raw integer tokens, never through an `f64`.
-//! Non-finite times (`Time::INF` / `Dur::INF`) serialize as `null` — JSON
-//! has no infinity literal — and decode back to the infinities.
+//! The JSON itself is [`omnet_obs::json`], the workspace's one codec:
+//! `f64`s travel as shortest-roundtrip tokens and `u64`s as raw integer
+//! tokens, so both decode exactly. Non-finite times (`Time::INF` /
+//! `Dur::INF`) serialize as `null` — JSON has no infinity literal — and
+//! decode back to the infinities. This module keeps only the framing and
+//! the typed request/response mapping.
 
 use crate::engine::DeltaApplied;
 use crate::query::{
     DeliveryAnswer, DiameterAnswer, PathAnswer, PathHop, QueryError, QueryResponse, StatsAnswer,
 };
-use omnet_core::{ArcPruning, HopBound, LevelStorage, ProfileOptions};
+use omnet_core::{HopBound, ProfileOptions};
+use omnet_obs::json::{self, Json};
 use omnet_temporal::{Contact, ContactKey, Dur, Interval, NodeId, Time};
 use std::fmt;
-use std::fmt::Write as _;
 use std::io::{Read, Write};
+use std::str::FromStr;
 
 /// Hard ceiling on a frame's payload size. A length prefix beyond this is
 /// rejected before any allocation — garbage (or a non-protocol peer)
@@ -120,363 +121,14 @@ pub fn read_frame(r: &mut impl Read) -> Result<Option<Vec<u8>>, WireError> {
     Ok(Some(payload))
 }
 
-// ---------------------------------------------------------------------------
-// JSON value model
-// ---------------------------------------------------------------------------
-
-/// A parsed JSON value. Numbers keep their raw source token so integers
-/// round-trip at full `u64` precision and floats at full shortest-form
-/// fidelity — nothing is funneled through a lossy intermediate.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Json {
-    /// `null`.
-    Null,
-    /// `true` / `false`.
-    Bool(bool),
-    /// A number, kept as its raw token (e.g. `-1.5e3`, `18446744073709551615`).
-    Num(String),
-    /// A string (unescaped).
-    Str(String),
-    /// An array.
-    Arr(Vec<Json>),
-    /// An object, in source order.
-    Obj(Vec<(String, Json)>),
-}
-
-impl Json {
-    fn u64(v: u64) -> Json {
-        Json::Num(v.to_string())
-    }
-
-    fn usize(v: usize) -> Json {
-        Json::Num(v.to_string())
-    }
-
-    fn u32(v: u32) -> Json {
-        Json::Num(v.to_string())
-    }
-
-    /// Finite floats as shortest-roundtrip tokens; non-finite as `null`.
-    fn f64(v: f64) -> Json {
-        if v.is_finite() {
-            Json::Num(format!("{v}"))
-        } else {
-            Json::Null
-        }
-    }
-
-    fn str(v: &str) -> Json {
-        Json::Str(v.to_string())
-    }
-
-    /// Field lookup on an object; `None` on non-objects.
-    pub fn get(&self, key: &str) -> Option<&Json> {
-        match self {
-            Json::Obj(fields) => fields.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-            _ => None,
-        }
-    }
-
-    /// Serializes to compact JSON text.
-    pub fn render(&self) -> String {
-        let mut out = String::new();
-        self.write(&mut out);
-        out
-    }
-
-    fn write(&self, out: &mut String) {
-        match self {
-            Json::Null => out.push_str("null"),
-            Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-            Json::Num(raw) => out.push_str(raw),
-            Json::Str(s) => write_escaped(out, s),
-            Json::Arr(items) => {
-                out.push('[');
-                for (i, item) in items.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    item.write(out);
-                }
-                out.push(']');
-            }
-            Json::Obj(fields) => {
-                out.push('{');
-                for (i, (k, v)) in fields.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    write_escaped(out, k);
-                    out.push(':');
-                    v.write(out);
-                }
-                out.push('}');
-            }
-        }
-    }
-}
-
-fn write_escaped(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
-
-/// Recursion ceiling for the parser — protocol messages are at most a few
-/// levels deep, so anything deeper is garbage, not data.
-const MAX_DEPTH: u32 = 32;
-
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
 fn malformed(context: &'static str) -> WireError {
     WireError::Malformed { context }
 }
 
-impl<'a> Parser<'a> {
-    fn skip_ws(&mut self) {
-        while let Some(&b) = self.bytes.get(self.pos) {
-            if b == b' ' || b == b'\t' || b == b'\n' || b == b'\r' {
-                self.pos += 1;
-            } else {
-                break;
-            }
-        }
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn eat(&mut self, b: u8, context: &'static str) -> Result<(), WireError> {
-        if self.peek() == Some(b) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(malformed(context))
-        }
-    }
-
-    fn eat_lit(&mut self, lit: &str, value: Json) -> Result<Json, WireError> {
-        let end = self.pos + lit.len();
-        if self.bytes.get(self.pos..end) == Some(lit.as_bytes()) {
-            self.pos = end;
-            Ok(value)
-        } else {
-            Err(malformed("unknown literal"))
-        }
-    }
-
-    fn value(&mut self, depth: u32) -> Result<Json, WireError> {
-        if depth > MAX_DEPTH {
-            return Err(malformed("nesting too deep"));
-        }
-        self.skip_ws();
-        match self.peek() {
-            Some(b'n') => self.eat_lit("null", Json::Null),
-            Some(b't') => self.eat_lit("true", Json::Bool(true)),
-            Some(b'f') => self.eat_lit("false", Json::Bool(false)),
-            Some(b'"') => self.string().map(Json::Str),
-            Some(b'[') => self.array(depth),
-            Some(b'{') => self.object(depth),
-            Some(b'-' | b'0'..=b'9') => self.number(),
-            _ => Err(malformed("unexpected byte")),
-        }
-    }
-
-    fn array(&mut self, depth: u32) -> Result<Json, WireError> {
-        self.eat(b'[', "expected '['")?;
-        let mut items = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(Json::Arr(items));
-        }
-        loop {
-            items.push(self.value(depth + 1)?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(Json::Arr(items));
-                }
-                _ => return Err(malformed("expected ',' or ']' in array")),
-            }
-        }
-    }
-
-    fn object(&mut self, depth: u32) -> Result<Json, WireError> {
-        self.eat(b'{', "expected '{'")?;
-        let mut fields = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(Json::Obj(fields));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.skip_ws();
-            self.eat(b':', "expected ':' after object key")?;
-            let value = self.value(depth + 1)?;
-            fields.push((key, value));
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(Json::Obj(fields));
-                }
-                _ => return Err(malformed("expected ',' or '}' in object")),
-            }
-        }
-    }
-
-    fn string(&mut self) -> Result<String, WireError> {
-        self.eat(b'"', "expected '\"'")?;
-        let mut out = String::new();
-        loop {
-            let start = self.pos;
-            // Fast path: run of plain bytes up to the next quote/escape.
-            while let Some(&b) = self.bytes.get(self.pos) {
-                if b == b'"' || b == b'\\' || b < 0x20 {
-                    break;
-                }
-                self.pos += 1;
-            }
-            out.push_str(
-                std::str::from_utf8(&self.bytes[start..self.pos])
-                    .map_err(|_| malformed("invalid UTF-8 in string"))?,
-            );
-            match self.peek() {
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    self.escape(&mut out)?;
-                }
-                _ => return Err(malformed("unterminated string")),
-            }
-        }
-    }
-
-    fn escape(&mut self, out: &mut String) -> Result<(), WireError> {
-        let Some(b) = self.peek() else {
-            return Err(malformed("truncated escape"));
-        };
-        self.pos += 1;
-        match b {
-            b'"' => out.push('"'),
-            b'\\' => out.push('\\'),
-            b'/' => out.push('/'),
-            b'n' => out.push('\n'),
-            b'r' => out.push('\r'),
-            b't' => out.push('\t'),
-            b'b' => out.push('\u{8}'),
-            b'f' => out.push('\u{c}'),
-            b'u' => {
-                let hi = self.hex4()?;
-                let code = if (0xD800..0xDC00).contains(&hi) {
-                    // Surrogate pair: a second \uXXXX must follow.
-                    if self.bytes.get(self.pos..self.pos + 2) != Some(b"\\u") {
-                        return Err(malformed("lone high surrogate"));
-                    }
-                    self.pos += 2;
-                    let lo = self.hex4()?;
-                    if !(0xDC00..0xE000).contains(&lo) {
-                        return Err(malformed("invalid low surrogate"));
-                    }
-                    0x10000 + ((hi - 0xD800) << 10) + (lo - 0xDC00)
-                } else {
-                    hi
-                };
-                out.push(char::from_u32(code).ok_or(malformed("invalid code point"))?);
-            }
-            _ => return Err(malformed("unknown escape")),
-        }
-        Ok(())
-    }
-
-    fn hex4(&mut self) -> Result<u32, WireError> {
-        let end = self.pos + 4;
-        let chunk = self
-            .bytes
-            .get(self.pos..end)
-            .ok_or(malformed("truncated \\u escape"))?;
-        let s = std::str::from_utf8(chunk).map_err(|_| malformed("invalid \\u escape"))?;
-        let v = u32::from_str_radix(s, 16).map_err(|_| malformed("invalid \\u escape"))?;
-        self.pos = end;
-        Ok(v)
-    }
-
-    fn number(&mut self) -> Result<Json, WireError> {
-        let start = self.pos;
-        if self.peek() == Some(b'-') {
-            self.pos += 1;
-        }
-        let digits_from = self.pos;
-        while matches!(self.peek(), Some(b'0'..=b'9')) {
-            self.pos += 1;
-        }
-        if self.pos == digits_from {
-            return Err(malformed("number without digits"));
-        }
-        if self.peek() == Some(b'.') {
-            self.pos += 1;
-            let frac_from = self.pos;
-            while matches!(self.peek(), Some(b'0'..=b'9')) {
-                self.pos += 1;
-            }
-            if self.pos == frac_from {
-                return Err(malformed("number with empty fraction"));
-            }
-        }
-        if matches!(self.peek(), Some(b'e' | b'E')) {
-            self.pos += 1;
-            if matches!(self.peek(), Some(b'+' | b'-')) {
-                self.pos += 1;
-            }
-            let exp_from = self.pos;
-            while matches!(self.peek(), Some(b'0'..=b'9')) {
-                self.pos += 1;
-            }
-            if self.pos == exp_from {
-                return Err(malformed("number with empty exponent"));
-            }
-        }
-        // The slice is ASCII by construction.
-        let raw = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| malformed("number token"))?;
-        Ok(Json::Num(raw.to_string()))
-    }
-}
-
-/// Parses one JSON document; trailing non-whitespace is rejected.
-pub fn parse_json(bytes: &[u8]) -> Result<Json, WireError> {
-    let mut p = Parser { bytes, pos: 0 };
-    let v = p.value(0)?;
-    p.skip_ws();
-    if p.pos != bytes.len() {
-        return Err(malformed("trailing bytes after document"));
-    }
-    Ok(v)
+/// Parses one payload as a JSON document; a parse failure is a
+/// [`WireError::Malformed`] naming what the parser was reading.
+fn parse_json(bytes: &[u8]) -> Result<Json, WireError> {
+    json::parse(bytes).map_err(|e| malformed(e.context))
 }
 
 // ---------------------------------------------------------------------------
@@ -484,61 +136,53 @@ pub fn parse_json(bytes: &[u8]) -> Result<Json, WireError> {
 // ---------------------------------------------------------------------------
 
 fn field<'a>(j: &'a Json, key: &'static str) -> Result<&'a Json, WireError> {
-    j.get(key).ok_or(WireError::Malformed { context: key })
+    j.get(key).ok_or(malformed(key))
 }
 
 fn get_str(j: &Json, key: &'static str) -> Result<String, WireError> {
     match field(j, key)? {
         Json::Str(s) => Ok(s.clone()),
-        _ => Err(WireError::Malformed { context: key }),
+        _ => Err(malformed(key)),
     }
 }
 
 fn get_bool(j: &Json, key: &'static str) -> Result<bool, WireError> {
     match field(j, key)? {
         Json::Bool(b) => Ok(*b),
-        _ => Err(WireError::Malformed { context: key }),
+        _ => Err(malformed(key)),
     }
 }
 
-fn num_u64(j: &Json, key: &'static str) -> Result<u64, WireError> {
+/// A number parsed straight from its raw token into `T` — an integer never
+/// passes through a narrower or lossy type, and one out of `T`'s range is
+/// malformed.
+fn num<T: FromStr>(j: &Json, key: &'static str) -> Result<T, WireError> {
     match j {
-        Json::Num(raw) => raw
-            .parse()
-            .map_err(|_| WireError::Malformed { context: key }),
-        _ => Err(WireError::Malformed { context: key }),
+        Json::Num(raw) => raw.parse().map_err(|_| malformed(key)),
+        _ => Err(malformed(key)),
     }
 }
 
-fn get_u64(j: &Json, key: &'static str) -> Result<u64, WireError> {
-    num_u64(field(j, key)?, key)
+fn get_num<T: FromStr>(j: &Json, key: &'static str) -> Result<T, WireError> {
+    num(field(j, key)?, key)
 }
 
-fn get_u32(j: &Json, key: &'static str) -> Result<u32, WireError> {
-    u32::try_from(get_u64(j, key)?).map_err(|_| WireError::Malformed { context: key })
-}
-
-fn get_usize(j: &Json, key: &'static str) -> Result<usize, WireError> {
-    usize::try_from(get_u64(j, key)?).map_err(|_| WireError::Malformed { context: key })
-}
-
-fn num_f64(j: &Json, key: &'static str) -> Result<f64, WireError> {
+/// A number or `null` (`None`).
+fn opt_num<T: FromStr>(j: &Json, key: &'static str) -> Result<Option<T>, WireError> {
     match j {
-        Json::Num(raw) => raw
-            .parse()
-            .map_err(|_| WireError::Malformed { context: key }),
-        _ => Err(WireError::Malformed { context: key }),
+        Json::Null => Ok(None),
+        v => num(v, key).map(Some),
     }
 }
 
-fn get_f64(j: &Json, key: &'static str) -> Result<f64, WireError> {
-    num_f64(field(j, key)?, key)
+fn get_opt<T: FromStr>(j: &Json, key: &'static str) -> Result<Option<T>, WireError> {
+    opt_num(field(j, key)?, key)
 }
 
 fn get_arr<'a>(j: &'a Json, key: &'static str) -> Result<&'a [Json], WireError> {
     match field(j, key)? {
         Json::Arr(items) => Ok(items),
-        _ => Err(WireError::Malformed { context: key }),
+        _ => Err(malformed(key)),
     }
 }
 
@@ -548,10 +192,7 @@ fn time_json(t: Time) -> Json {
 }
 
 fn get_time(j: &Json, key: &'static str) -> Result<Time, WireError> {
-    match field(j, key)? {
-        Json::Null => Ok(Time::INF),
-        v => Ok(Time::secs(num_f64(v, key)?)),
-    }
+    Ok(get_opt(j, key)?.map_or(Time::INF, Time::secs))
 }
 
 /// `null` carries `Dur::INF`.
@@ -560,10 +201,7 @@ fn dur_json(d: Dur) -> Json {
 }
 
 fn get_dur(j: &Json, key: &'static str) -> Result<Dur, WireError> {
-    match field(j, key)? {
-        Json::Null => Ok(Dur::INF),
-        v => Ok(Dur::secs(num_f64(v, key)?)),
-    }
+    Ok(get_opt(j, key)?.map_or(Dur::INF, Dur::secs))
 }
 
 /// `null` carries `HopBound::Unlimited`.
@@ -575,14 +213,7 @@ fn bound_json(b: HopBound) -> Json {
 }
 
 fn get_bound(j: &Json, key: &'static str) -> Result<HopBound, WireError> {
-    match field(j, key)? {
-        Json::Null => Ok(HopBound::Unlimited),
-        v => {
-            let k = num_u64(v, key)?;
-            let k = usize::try_from(k).map_err(|_| WireError::Malformed { context: key })?;
-            Ok(HopBound::AtMost(k))
-        }
-    }
+    Ok(get_opt(j, key)?.map_or(HopBound::Unlimited, HopBound::AtMost))
 }
 
 // ---------------------------------------------------------------------------
@@ -674,7 +305,7 @@ pub fn decode_request(bytes: &[u8]) -> Result<Request, WireError> {
                 .iter()
                 .map(|l| match l {
                     Json::Str(s) => Ok(s.clone()),
-                    _ => Err(WireError::Malformed { context: "lines" }),
+                    _ => Err(malformed("lines")),
                 })
                 .collect::<Result<Vec<_>, _>>()?;
             Ok(Request::Query {
@@ -685,34 +316,27 @@ pub fn decode_request(bytes: &[u8]) -> Result<Request, WireError> {
         "delta" => {
             let remove = get_arr(&j, "remove")?
                 .iter()
-                .map(|k| {
-                    let v = num_u64(k, "remove")?;
-                    u32::try_from(v).map_err(|_| WireError::Malformed { context: "remove" })
-                })
+                .map(|k| num(k, "remove"))
                 .collect::<Result<Vec<_>, _>>()?;
             let append = get_arr(&j, "append")?
                 .iter()
                 .map(|c| match c {
                     Json::Arr(parts) if parts.len() == 4 => {
-                        let a = num_u64(&parts[0], "append")?;
-                        let b = num_u64(&parts[1], "append")?;
-                        let start = num_f64(&parts[2], "append")?;
-                        let end = num_f64(&parts[3], "append")?;
+                        let a = num(&parts[0], "append")?;
+                        let b = num(&parts[1], "append")?;
+                        let start: f64 = num(&parts[2], "append")?;
+                        let end: f64 = num(&parts[3], "append")?;
                         if !(start.is_finite() && end.is_finite() && start <= end) {
-                            return Err(WireError::Malformed { context: "append" });
+                            return Err(malformed("append"));
                         }
-                        let a = u32::try_from(a)
-                            .map_err(|_| WireError::Malformed { context: "append" })?;
-                        let b = u32::try_from(b)
-                            .map_err(|_| WireError::Malformed { context: "append" })?;
                         Ok(Contact::secs(a, b, start, end))
                     }
-                    _ => Err(WireError::Malformed { context: "append" }),
+                    _ => Err(malformed("append")),
                 })
                 .collect::<Result<Vec<_>, _>>()?;
             Ok(Request::Delta {
                 dataset: get_str(&j, "dataset")?,
-                key_epoch: get_u64(&j, "key_epoch")?,
+                key_epoch: get_num(&j, "key_epoch")?,
                 remove,
                 append,
             })
@@ -766,39 +390,13 @@ fn options_json(o: &ProfileOptions) -> Json {
     Json::Obj(vec![
         ("store_levels".into(), Json::usize(o.store_levels)),
         ("max_levels".into(), Json::usize(o.max_levels)),
-        (
-            "arc_pruning".into(),
-            Json::str(match o.arc_pruning {
-                ArcPruning::Exhaustive => "exhaustive",
-                _ => "time_indexed",
-            }),
-        ),
-        (
-            "level_storage".into(),
-            Json::str(match o.level_storage {
-                LevelStorage::FullClones => "full_clones",
-                _ => "deltas",
-            }),
-        ),
     ])
 }
 
 fn decode_options(j: &Json) -> Result<ProfileOptions, WireError> {
-    let arc_pruning = match get_str(j, "arc_pruning")?.as_str() {
-        "exhaustive" => ArcPruning::Exhaustive,
-        "time_indexed" => ArcPruning::TimeIndexed,
-        _ => return Err(malformed("arc_pruning")),
-    };
-    let level_storage = match get_str(j, "level_storage")?.as_str() {
-        "full_clones" => LevelStorage::FullClones,
-        "deltas" => LevelStorage::Deltas,
-        _ => return Err(malformed("level_storage")),
-    };
     Ok(ProfileOptions::builder()
-        .store_levels(get_usize(j, "store_levels")?)
-        .max_levels(get_usize(j, "max_levels")?)
-        .arc_pruning(arc_pruning)
-        .level_storage(level_storage)
+        .store_levels(get_num(j, "store_levels")?)
+        .max_levels(get_num(j, "max_levels")?)
         .build())
 }
 
@@ -888,8 +486,8 @@ fn answer_json(r: &QueryResponse) -> Json {
 fn decode_answer(j: &Json) -> Result<QueryResponse, WireError> {
     match get_str(j, "type")?.as_str() {
         "delivery" => Ok(QueryResponse::Delivery(DeliveryAnswer {
-            src: get_u32(j, "src")?,
-            dst: get_u32(j, "dst")?,
+            src: get_num(j, "src")?,
+            dst: get_num(j, "dst")?,
             at: get_time(j, "at")?,
             bound: get_bound(j, "bound")?,
             arrival: get_time(j, "arrival")?,
@@ -903,8 +501,8 @@ fn decode_answer(j: &Json) -> Result<QueryResponse, WireError> {
                     hops.iter()
                         .map(|h| {
                             Ok(PathHop {
-                                from: NodeId(get_u32(h, "from")?),
-                                to: NodeId(get_u32(h, "to")?),
+                                from: NodeId(get_num(h, "from")?),
+                                to: NodeId(get_num(h, "to")?),
                                 window: Interval::new(get_time(h, "start")?, get_time(h, "end")?),
                                 at: get_time(h, "at")?,
                             })
@@ -914,67 +512,45 @@ fn decode_answer(j: &Json) -> Result<QueryResponse, WireError> {
                 _ => return Err(malformed("route")),
             };
             Ok(QueryResponse::Path(PathAnswer {
-                src: get_u32(j, "src")?,
-                dst: get_u32(j, "dst")?,
+                src: get_num(j, "src")?,
+                dst: get_num(j, "dst")?,
                 at: get_time(j, "at")?,
                 reachable: get_bool(j, "reachable")?,
                 arrival: get_time(j, "arrival")?,
                 delay: get_dur(j, "delay")?,
-                hops: get_usize(j, "hops")?,
+                hops: get_num(j, "hops")?,
                 route,
             }))
         }
         "diameter" => {
             let grid = get_arr(j, "grid")?
                 .iter()
-                .map(|d| match d {
-                    Json::Null => Ok(Dur::INF),
-                    v => Ok(Dur::secs(num_f64(v, "grid")?)),
-                })
+                .map(|d| Ok(opt_num(d, "grid")?.map_or(Dur::INF, Dur::secs)))
                 .collect::<Result<Vec<_>, WireError>>()?;
             let per_delay = get_arr(j, "per_delay")?
                 .iter()
-                .map(|d| match d {
-                    Json::Null => Ok(None),
-                    v => {
-                        let k = num_u64(v, "per_delay")?;
-                        usize::try_from(k)
-                            .map(Some)
-                            .map_err(|_| malformed("per_delay"))
-                    }
-                })
+                .map(|d| opt_num(d, "per_delay"))
                 .collect::<Result<Vec<_>, WireError>>()?;
-            let diameter = match field(j, "diameter")? {
-                Json::Null => None,
-                v => Some(
-                    usize::try_from(num_u64(v, "diameter")?).map_err(|_| malformed("diameter"))?,
-                ),
-            };
+            let diameter = get_opt(j, "diameter")?;
             Ok(QueryResponse::Diameter(DiameterAnswer {
-                eps: get_f64(j, "eps")?,
-                max_hops: get_usize(j, "max_hops")?,
-                pairs: get_usize(j, "pairs")?,
+                eps: get_num(j, "eps")?,
+                max_hops: get_num(j, "max_hops")?,
+                pairs: get_num(j, "pairs")?,
                 grid,
                 diameter,
                 per_delay,
             }))
         }
         "stats" => {
-            let max_useful_hops = match field(j, "max_useful_hops")? {
-                Json::Null => None,
-                v => Some(
-                    usize::try_from(num_u64(v, "max_useful_hops")?)
-                        .map_err(|_| malformed("max_useful_hops"))?,
-                ),
-            };
+            let max_useful_hops = get_opt(j, "max_useful_hops")?;
             Ok(QueryResponse::Stats(StatsAnswer {
                 dataset_key: get_str(j, "dataset_key")?,
-                num_nodes: get_u32(j, "num_nodes")?,
-                num_internal: get_u32(j, "num_internal")?,
+                num_nodes: get_num(j, "num_nodes")?,
+                num_internal: get_num(j, "num_internal")?,
                 window: Interval::new(get_time(j, "window_start")?, get_time(j, "window_end")?),
                 options: decode_options(field(j, "options")?)?,
-                shards: get_usize(j, "shards")?,
-                rows: get_usize(j, "rows")?,
+                shards: get_num(j, "shards")?,
+                rows: get_num(j, "rows")?,
                 max_useful_hops,
             }))
         }
@@ -1034,27 +610,27 @@ fn decode_error(j: &Json) -> Result<QueryError, WireError> {
             }
         }
         "node_out_of_range" => QueryError::NodeOutOfRange {
-            node: get_u32(j, "node")?,
-            num_nodes: get_u32(j, "num_nodes")?,
+            node: get_num(j, "node")?,
+            num_nodes: get_num(j, "num_nodes")?,
         },
         "same_node" => QueryError::SameNode,
         "shard_missing" => QueryError::ShardMissing {
-            source: get_u32(j, "source")?,
+            source: get_num(j, "source")?,
         },
         "bad_parameter" => QueryError::BadParameter {
             message: get_str(j, "message")?,
         },
         "hops_beyond_artifact" => QueryError::HopsBeyondArtifact {
-            requested: get_usize(j, "requested")?,
-            stored: get_usize(j, "stored")?,
+            requested: get_num(j, "requested")?,
+            stored: get_num(j, "stored")?,
         },
         "shard_rejected" => QueryError::ShardRejected {
-            source: get_u32(j, "source")?,
+            source: get_num(j, "source")?,
             message: get_str(j, "detail")?,
         },
         "stale_key_epoch" => QueryError::StaleKeyEpoch {
-            presented: get_u64(j, "presented")?,
-            current: get_u64(j, "current")?,
+            presented: get_num(j, "presented")?,
+            current: get_num(j, "current")?,
         },
         // An unknown kind (newer server) degrades to its message.
         _ => QueryError::BadParameter {
@@ -1073,9 +649,9 @@ fn applied_json(a: &DeltaApplied) -> Json {
 
 fn decode_applied(j: &Json) -> Result<DeltaApplied, WireError> {
     Ok(DeltaApplied {
-        rows_invalidated: get_usize(j, "rows_invalidated")?,
-        key_epoch: get_u64(j, "key_epoch")?,
-        num_contacts: get_usize(j, "num_contacts")?,
+        rows_invalidated: get_num(j, "rows_invalidated")?,
+        key_epoch: get_num(j, "key_epoch")?,
+        num_contacts: get_num(j, "num_contacts")?,
     })
 }
 
@@ -1154,8 +730,8 @@ pub fn decode_response(bytes: &[u8]) -> Result<Response, WireError> {
                     Ok(DatasetInfo {
                         name: get_str(d, "name")?,
                         dataset_key: get_str(d, "dataset_key")?,
-                        num_nodes: get_u32(d, "num_nodes")?,
-                        key_epoch: get_u64(d, "key_epoch")?,
+                        num_nodes: get_num(d, "num_nodes")?,
+                        key_epoch: get_num(d, "key_epoch")?,
                         mutable: get_bool(d, "mutable")?,
                     })
                 })
@@ -1268,40 +844,6 @@ mod tests {
     }
 
     #[test]
-    fn json_parses_and_rerenders() {
-        let src =
-            br#"{"a": [1, -2.5, 1e3], "b": "q\"\\\n\u0041\ud83d\ude00", "c": null, "d": true}"#;
-        let v = parse_json(src).unwrap();
-        assert_eq!(
-            v.get("b"),
-            Some(&Json::Str("q\"\\\nA\u{1F600}".to_string()))
-        );
-        // render → parse is the identity.
-        assert_eq!(parse_json(v.render().as_bytes()).unwrap(), v);
-    }
-
-    #[test]
-    fn json_rejects_garbage() {
-        for bad in [
-            &b"{"[..],
-            b"[1,]",
-            b"{\"a\" 1}",
-            b"nul",
-            b"1.e3",
-            b"--1",
-            b"\"unterminated",
-            b"{} trailing",
-            b"\"\\ud800\"",
-        ] {
-            assert!(
-                parse_json(bad).is_err(),
-                "{:?}",
-                String::from_utf8_lossy(bad)
-            );
-        }
-    }
-
-    #[test]
     fn u64_precision_survives_the_wire() {
         let req = Request::Delta {
             dataset: "x".into(),
@@ -1365,11 +907,7 @@ mod tests {
                 num_nodes: 5,
                 num_internal: 4,
                 window: Interval::secs(0.0, 920.0),
-                options: ProfileOptions::builder()
-                    .store_levels(3)
-                    .arc_pruning(ArcPruning::Exhaustive)
-                    .level_storage(LevelStorage::FullClones)
-                    .build(),
+                options: ProfileOptions::builder().store_levels(3).build(),
                 shards: 2,
                 rows: 5,
                 max_useful_hops: None,
@@ -1461,5 +999,34 @@ mod tests {
             decode_request(b"{\"op\":\"delta\",\"dataset\":\"d\",\"key_epoch\":1,\"remove\":[],\"append\":[[0,1,5,2]]}"),
             Err(WireError::Malformed { .. })
         ));
+        // JSON syntax errors surface as malformed frames too.
+        for bad in [&b"{"[..], b"[1,]", b"{} trailing"] {
+            assert!(matches!(
+                decode_request(bad),
+                Err(WireError::Malformed { .. })
+            ));
+        }
+        // Integers out of the field's range, or written as floats, are
+        // malformed rather than truncated.
+        for (bad, context) in [
+            (
+                &br#"{"op":"delta","dataset":"d","key_epoch":1,"remove":[4294967296],"append":[]}"#
+                    [..],
+                "remove",
+            ),
+            (
+                br#"{"op":"delta","dataset":"d","key_epoch":-1,"remove":[],"append":[]}"#,
+                "key_epoch",
+            ),
+            (
+                br#"{"op":"delta","dataset":"d","key_epoch":1,"remove":[1.5],"append":[]}"#,
+                "remove",
+            ),
+        ] {
+            assert!(matches!(
+                decode_request(bad),
+                Err(WireError::Malformed { context: c }) if c == context
+            ));
+        }
     }
 }

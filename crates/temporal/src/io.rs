@@ -130,6 +130,9 @@ pub fn from_reader<R: Read>(reader: R) -> Result<Trace, IoError> {
                 Some("window") => {
                     let lo: f64 = parse_field(it.next(), lineno, "window start")?;
                     let hi: f64 = parse_field(it.next(), lineno, "window end")?;
+                    if !lo.is_finite() || !hi.is_finite() {
+                        return Err(syntax(lineno, "window bounds must be finite"));
+                    }
                     if lo > hi {
                         return Err(syntax(lineno, "window start exceeds end"));
                     }
@@ -333,12 +336,19 @@ mod tests {
         assert!(err.to_string().contains("invalid contact interval"));
         let err = from_str("0 1 abc 1\n").unwrap_err();
         assert!(err.to_string().contains("start time"));
+        for header in ["# window 0 inf\n", "# window nan 1\n"] {
+            let err = from_str(header).unwrap_err();
+            assert!(
+                err.to_string().contains("must be finite"),
+                "{header}: {err}"
+            );
+        }
     }
 
     #[test]
     fn file_roundtrip() {
         let t = TraceBuilder::new().contact_secs(0, 1, 0.0, 9.0).build();
-        let dir = std::env::temp_dir().join("omnet-io-test");
+        let dir = std::env::temp_dir().join(format!("omnet-io-test-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("toy.trace");
         save(&t, &path).unwrap();

@@ -13,8 +13,8 @@
 //! `strict-invariants` job.
 
 use omnet_core::{
-    cross_check, AllPairsProfiles, ArcPruning, Arcs, ContactDelta, CrossCheckOptions, HopBound,
-    IncrementalProfiles, LevelStorage, ProfileOptions, SourceProfiles,
+    cross_check, AllPairsProfiles, Arcs, ContactDelta, CrossCheckOptions, DeliveryFunction,
+    HopBound, IncrementalProfiles, ProfileOptions, SourceProfiles,
 };
 use omnet_temporal::invariant::{self, InvariantViolation};
 use omnet_temporal::{Contact, ContactSeq, NodeId, Time, Trace, TraceBuilder};
@@ -194,37 +194,51 @@ fn trace_strategy() -> impl Strategy<Value = Trace> {
         })
 }
 
-/// Every `ProfileOptions` knob combination, plus a truncated-storage variant
-/// that exercises the beyond-stored-levels fallback.
+/// The default options plus a truncated-storage variant that exercises the
+/// beyond-stored-levels fallback.
 fn knob_combos() -> Vec<ProfileOptions> {
-    let mut combos = Vec::new();
-    for pruning in [ArcPruning::Exhaustive, ArcPruning::TimeIndexed] {
-        for storage in [LevelStorage::FullClones, LevelStorage::Deltas] {
-            combos.push(
-                ProfileOptions::builder()
-                    .arc_pruning(pruning)
-                    .level_storage(storage)
-                    .build(),
-            );
-            combos.push(
-                ProfileOptions::builder()
-                    .store_levels(2)
-                    .arc_pruning(pruning)
-                    .level_storage(storage)
-                    .build(),
-            );
-        }
-    }
-    combos
+    vec![
+        ProfileOptions::default(),
+        ProfileOptions::builder().store_levels(2).build(),
+    ]
+}
+
+/// What `AtMost(k)` from `s` to every destination must answer under
+/// `opts`, computed without reading any stored level: the naive spec's
+/// fixpoint frontiers with the induction capped at `k` levels while `k` is
+/// stored, its uncapped fixpoint beyond (the documented fallback).
+fn at_most_reference(
+    trace: &Trace,
+    arcs: &Arcs,
+    s: NodeId,
+    opts: ProfileOptions,
+    k: usize,
+) -> Vec<DeliveryFunction> {
+    let capped = if k <= opts.store_levels {
+        ProfileOptions::builder()
+            .store_levels(opts.store_levels)
+            .max_levels(k)
+            .build()
+    } else {
+        opts
+    };
+    let naive = SourceProfiles::compute_naive(trace, arcs, s, capped);
+    trace
+        .nodes()
+        .map(|d| naive.profile(d, HopBound::Unlimited).into_owned())
+        .collect()
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
     /// The optimized induction (delta propagation + arc pruning + pooled
-    /// buffers + either level-storage shape) is pair-for-pair identical to
-    /// the naive full-re-extension specification, for every knob
-    /// combination, every source, and every hop bound.
+    /// buffers + delta-run level storage) is pair-for-pair identical to the
+    /// naive full-re-extension specification, for both store depths, every
+    /// source, and every hop bound — the stored levels included and two
+    /// beyond. Each `AtMost(k)` answer is checked against the spec capped at
+    /// `k` levels and read at `Unlimited`, so the reference never goes
+    /// through the delta-run reconstruction it is checking.
     #[test]
     fn optimized_engine_matches_naive_spec_on_all_knobs(trace in trace_strategy()) {
         let arcs = Arcs::of(&trace);
@@ -239,20 +253,34 @@ proptest! {
                     s,
                     opts
                 );
-                for d in trace.nodes() {
-                    for k in 0..=6usize {
+                prop_assert_eq!(fast.stored_levels(), naive.stored_levels());
+                for k in 0..=6usize.max(fast.stored_levels() + 2) {
+                    let expect = at_most_reference(&trace, &arcs, s, opts, k);
+                    for d in trace.nodes() {
+                        let want = expect[d.index()].pairs();
                         let f = fast.profile(d, HopBound::AtMost(k));
-                        let g = naive.profile(d, HopBound::AtMost(k));
                         prop_assert_eq!(
                             f.pairs(),
-                            g.pairs(),
+                            want,
                             "{}->{} diverged at k={} with {:?}",
                             s,
                             d,
                             k,
                             opts
                         );
+                        let g = naive.profile(d, HopBound::AtMost(k));
+                        prop_assert_eq!(
+                            g.pairs(),
+                            want,
+                            "naive {}->{} diverged at k={} with {:?}",
+                            s,
+                            d,
+                            k,
+                            opts
+                        );
                     }
+                }
+                for d in trace.nodes() {
                     let f = fast.profile(d, HopBound::Unlimited);
                     let g = naive.profile(d, HopBound::Unlimited);
                     prop_assert_eq!(
@@ -263,43 +291,6 @@ proptest! {
                         d,
                         opts
                     );
-                }
-            }
-        }
-    }
-
-    /// Delta-reconstructed level queries equal the old full-clone snapshots
-    /// on every stored (and every fallback) hop class.
-    #[test]
-    fn delta_reconstruction_matches_full_clone_snapshots(trace in trace_strategy()) {
-        let arcs = Arcs::of(&trace);
-        for pruning in [ArcPruning::Exhaustive, ArcPruning::TimeIndexed] {
-            let full_opts = ProfileOptions::builder()
-                .arc_pruning(pruning)
-                .level_storage(LevelStorage::FullClones)
-                .build();
-            let delta_opts = ProfileOptions::builder()
-                .arc_pruning(pruning)
-                .level_storage(LevelStorage::Deltas)
-                .build();
-            for s in trace.nodes() {
-                let full = SourceProfiles::compute(&trace, &arcs, s, full_opts);
-                let delta = SourceProfiles::compute(&trace, &arcs, s, delta_opts);
-                prop_assert_eq!(full.stored_levels(), delta.stored_levels());
-                for d in trace.nodes() {
-                    for k in 0..=full.stored_levels() + 2 {
-                        let f = full.profile(d, HopBound::AtMost(k));
-                        let g = delta.profile(d, HopBound::AtMost(k));
-                        prop_assert_eq!(
-                            f.pairs(),
-                            g.pairs(),
-                            "{}->{} diverged at k={} ({:?})",
-                            s,
-                            d,
-                            k,
-                            pruning
-                        );
-                    }
                 }
             }
         }
@@ -371,7 +362,7 @@ proptest! {
 
     /// The streaming all-pairs walk (`map_range`, frontiers borrowed from
     /// worker scratch and recycled) observes exactly what the materializing
-    /// path returns, for every knob combination: same unbounded frontiers,
+    /// path returns, for both store depths: same unbounded frontiers,
     /// same reached sets, same convergence metadata.
     #[test]
     fn streamed_views_match_materialized_profiles(trace in trace_strategy()) {
@@ -422,8 +413,7 @@ proptest! {
     /// The incremental engine's maintained rows are byte-identical (as
     /// `SourceProfileParts`) to a fresh batch compute of the merged trace
     /// after every step of a random append/remove delta sequence — with
-    /// occasional overlay compactions interleaved — for every
-    /// `ArcPruning × LevelStorage` knob combination.
+    /// occasional overlay compactions interleaved — for both store depths.
     #[test]
     fn incremental_engine_matches_fresh_batch_after_delta_sequences(
         trace in trace_strategy(),
@@ -457,7 +447,7 @@ proptest! {
 
     /// `compute_range` over any ordered partition of `0..n` — empty ranges
     /// included (duplicate cut points) — concatenates byte-identically to
-    /// the whole-range `compute`, for every knob combination. This is the
+    /// the whole-range `compute`, for both store depths. This is the
     /// shard-boundary oracle: `omnet precompute` shards are independent
     /// `compute_range` calls.
     #[test]
