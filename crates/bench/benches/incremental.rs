@@ -25,7 +25,8 @@
 //! Exactness is asserted inline: after the sweep the engine's rows must
 //! equal a cold recompute of the final thinned trace part-for-part.
 //!
-//! Writes `BENCH_pr9.json` at the repository root. Run with:
+//! Writes `incremental.json` under Cargo's target tmp directory
+//! (`target/tmp/`). Run with:
 //!
 //! ```sh
 //! cargo bench -p omnet-bench --bench incremental
@@ -156,7 +157,7 @@ fn main() {
         json_u64(rss_batch),
         json_u64(rss_incr),
     );
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_pr9.json");
+    let path = concat!(env!("CARGO_TARGET_TMPDIR"), "/incremental.json");
     match std::fs::write(path, &json) {
         Ok(()) => println!("wrote {path}"),
         Err(e) => eprintln!("could not write {path}: {e}"),

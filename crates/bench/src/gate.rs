@@ -1,10 +1,6 @@
-//! Shared helpers for the wall-clock perf gates under `benches/`.
-//!
-//! Every gate bench writes a `BENCH_pr<N>.json` at the repository root; the
-//! helpers here keep the measurement columns consistent across PRs —
-//! in particular the memory column, so every gate artifact records how much
-//! resident memory the run actually touched — and give every gate the same
-//! timer.
+//! Shared helpers for the wall-clock gates under `benches/` (`incremental`
+//! and `scaling`): one timer and one peak-RSS column, so each gate's JSON
+//! report records how much resident memory its run actually touched.
 
 use std::time::Instant;
 
@@ -48,7 +44,7 @@ pub fn peak_rss_bytes() -> Option<u64> {
 
 /// Resets the process peak-RSS high-water mark so the next
 /// [`peak_rss_bytes`] read reflects only allocation *since this call* —
-/// the per-gate measurement protocol for multi-gate bench binaries.
+/// how a bench with several measured arms attributes a peak to each.
 ///
 /// On Linux, writing `"5"` to `/proc/self/clear_refs` asks the kernel to
 /// reset `VmHWM` (and `VmPeak`) to the current usage. Returns whether the
@@ -56,13 +52,6 @@ pub fn peak_rss_bytes() -> Option<u64> {
 /// reading is a lifetime upper bound, not a per-gate figure".
 pub fn reset_peak_rss() -> bool {
     std::fs::write("/proc/self/clear_refs", "5").is_ok()
-}
-
-/// The peak-RSS column as a JSON value: the byte count, or `null` where
-/// [`peak_rss_bytes`] is unsupported — so gate artifacts keep a uniform
-/// schema across platforms.
-pub fn peak_rss_json() -> String {
-    json_u64(peak_rss_bytes())
 }
 
 #[cfg(test)]
@@ -75,7 +64,6 @@ mod tests {
         let hwm = peak_rss_bytes().expect("procfs should be readable on linux");
         // any running process has at least a page resident
         assert!(hwm > 4096, "implausible peak {hwm}");
-        assert_eq!(peak_rss_json(), hwm.to_string());
     }
 
     #[cfg(target_os = "linux")]
@@ -112,11 +100,5 @@ mod tests {
         assert!(ms.is_finite() && ms >= 0.0, "bad timing {ms}");
         assert_eq!(json_u64(Some(7)), "7");
         assert_eq!(json_u64(None), "null");
-    }
-
-    #[test]
-    fn json_value_is_well_formed() {
-        let v = peak_rss_json();
-        assert!(v == "null" || v.parse::<u64>().is_ok(), "bad value {v}");
     }
 }

@@ -169,16 +169,14 @@ pub fn cache_stats() -> CacheStats {
     }
 }
 
-/// Drops every cached substrate (the counters keep running). The executor
-/// bench uses this to emulate the pre-cache harness, where every
-/// experiment regenerated its substrates from scratch.
-pub fn clear() {
-    cache().lock().expect("substrate cache poisoned").clear();
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Drops every cached substrate (the counters keep running).
+    fn clear() {
+        cache().lock().expect("substrate cache poisoned").clear();
+    }
 
     /// The cache and its counters are process-global; serialize the tests
     /// that assert on build counts so they don't perturb each other.

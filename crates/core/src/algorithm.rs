@@ -33,7 +33,7 @@
 //!   end, so one `partition_point` on a delta's earliest arrival skips
 //!   every contact that ended before the summary could board;
 //! * **arena/bitset frontiers** — each level's delta pairs live in one
-//!   pooled [`ProfileScratch`] arena with per-destination ranges, and
+//!   pooled `ProfileScratch` arena with per-destination ranges, and
 //!   word-packed dirty/reached bitsets keep every per-level loop
 //!   proportional to the destinations that actually changed, never to the
 //!   node count;
@@ -256,7 +256,7 @@ impl Arcs {
 /// actually changed, never to the node count, and the steady-state hot
 /// path allocates nothing per (pair, arc) visit.
 #[derive(Debug, Default)]
-pub struct ProfileScratch {
+pub(crate) struct ProfileScratch {
     /// Pooled per-destination frontiers (the induction's `cur` row).
     cur: Vec<DeliveryFunction>,
     /// Candidate summaries produced by the extension step, per destination.
@@ -285,11 +285,6 @@ pub struct ProfileScratch {
 }
 
 impl ProfileScratch {
-    /// Fresh (empty) scratch; buffers grow on first use.
-    pub fn new() -> ProfileScratch {
-        ProfileScratch::default()
-    }
-
     /// Grows the pooled buffers to `n` destinations. Relies on the previous
     /// run's sparse cleanup (every slot it touched was cleared on the way
     /// out) unless that run panicked mid-flight.
@@ -428,7 +423,7 @@ impl SourceProfiles {
     ///
     /// Batch callers (many sources on one trace) should prefer
     /// [`AllPairsProfiles::compute_range`], which parallelizes across
-    /// sources and pools one [`ProfileScratch`] per worker thread.
+    /// sources and pools one `ProfileScratch` per worker thread.
     pub fn compute(
         trace: &Trace,
         arcs: &Arcs,
@@ -1358,7 +1353,7 @@ impl std::error::Error for ProfilePartsError {}
 /// [`AllPairsProfiles::map_range`].
 ///
 /// The unbounded delivery frontiers live in the worker's pooled
-/// [`ProfileScratch`] and are recycled as soon as the visitor returns, so a
+/// `ProfileScratch` and are recycled as soon as the visitor returns, so a
 /// streaming all-pairs pass over 10⁵ nodes never materializes all `n²`
 /// frontiers at once. Hop-class snapshots are not exposed here — use the
 /// materializing [`AllPairsProfiles::compute_range`] when `AtMost(k)`
@@ -1429,7 +1424,7 @@ impl AllPairsProfiles {
 
     /// The options-taking batch entry point of the §4.4 induction: computes
     /// the profile rows for the contiguous source range `sources`, parallel
-    /// across sources with one pooled [`ProfileScratch`] per worker thread.
+    /// across sources with one pooled `ProfileScratch` per worker thread.
     ///
     /// This is what `omnet precompute` shards over — each shard is an
     /// independent `compute_range` call — and what
@@ -1466,7 +1461,7 @@ impl AllPairsProfiles {
 
     /// The streaming batch entry point of the §4.4 induction: computes each
     /// source's fixpoint in the contiguous range `sources` (parallel across
-    /// sources, one pooled [`ProfileScratch`] per worker) and hands it to
+    /// sources, one pooled `ProfileScratch` per worker) and hands it to
     /// `visit` as a borrowed [`ProfileView`] whose frontiers are recycled as
     /// soon as the visitor returns.
     ///
@@ -1980,7 +1975,7 @@ mod tests {
             .build();
         let arcs1 = Arcs::of(&t1);
         let arcs2 = Arcs::of(&t2);
-        let mut scratch = ProfileScratch::new();
+        let mut scratch = ProfileScratch::default();
         let opts = ProfileOptions::default();
         for s in 0..4u32 {
             let pooled = SourceProfiles::induct(&t1, &arcs1, NodeId(s), opts, &mut scratch);

@@ -188,7 +188,7 @@ impl DeliveryFunction {
     /// linear merge through the scratch buffer `merged`.
     ///
     /// Equivalent to [`DeliveryFunction::absorb_into`] followed by
-    /// [`compact_frontier_in_place`] on `added` — dropping a candidate that
+    /// `compact_frontier_in_place` on `added` — dropping a candidate that
     /// is dominated by a same-level sibling is exact because concatenation
     /// with an arc (fact (iv)) is monotone: the dominating pair's extension
     /// dominates the dominated pair's extension. Unlike the insert-based
@@ -429,7 +429,7 @@ impl DeliveryFunction {
 /// run compacts in one forward pass with no scratch allocation: an equal-EA
 /// neighbour is superseded by the later (larger-LD) pair, an equal-LD
 /// neighbour dominates the later (larger-EA) pair.
-pub fn extend_frontier_into(pairs: &[LdEa], iv: Interval, out: &mut Vec<LdEa>) {
+pub(crate) fn extend_frontier_into(pairs: &[LdEa], iv: Interval, out: &mut Vec<LdEa>) {
     let te = iv.end;
     let tb = iv.start;
     // Pairs with ea <= te form a prefix (ea increasing).
@@ -479,7 +479,7 @@ fn dedup_push(out: &mut Vec<LdEa>, start: usize, c: LdEa) {
     }
 }
 
-/// [`extend_frontier_into`] (the §4.4 arc-extension step) with the mapped
+/// `extend_frontier_into` (the §4.4 arc-extension step) with the mapped
 /// run's three-region structure made explicit and a dominance filter
 /// against `filt` (the destination's current frontier) fused into every
 /// emission.
@@ -497,7 +497,7 @@ fn dedup_push(out: &mut Vec<LdEa>, start: usize, c: LdEa) {
 /// Only the middle is iterated; head and tail cost `O(log |pairs|)` each.
 /// That asymmetry is what makes this the induction's hot-path extension:
 /// late-level delta runs are tail-heavy, and the plain
-/// [`extend_frontier_into`] walks every collapsed tail pair just to keep
+/// `extend_frontier_into` walks every collapsed tail pair just to keep
 /// one of them.
 ///
 /// Emissions already weakly dominated by a pair of `filt` are dropped at
@@ -557,7 +557,7 @@ pub fn extend_frontier_filtered_into(
 /// Pareto frontier of §4.3 condition (4) — the buffer-reusing counterpart
 /// of [`DeliveryFunction::from_pairs`] used by the induction's per-level
 /// delta buffers.
-pub fn compact_frontier_in_place(cands: &mut Vec<LdEa>) {
+pub(crate) fn compact_frontier_in_place(cands: &mut Vec<LdEa>) {
     cands.sort_unstable_by_key(|a| (a.ld, a.ea));
     // Reverse scan by decreasing LD (mirrors `compact_sorted`), filling the
     // kept pairs from the tail of the same buffer: the write cursor `w`

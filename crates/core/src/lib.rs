@@ -54,7 +54,7 @@ pub mod witness;
 
 pub use algorithm::{
     AllPairsProfiles, Arcs, HopBound, ProfileOptions, ProfileOptionsBuilder, ProfilePartsError,
-    ProfileScratch, ProfileView, SourceProfileParts, SourceProfiles,
+    ProfileView, SourceProfileParts, SourceProfiles,
 };
 pub use delivery::DeliveryFunction;
 pub use diameter::{day_time_windows, CurveOptions, SuccessCurves};
@@ -83,7 +83,7 @@ pub use witness::{optimal_journeys, route_string, witness_for_pair};
 pub mod prelude {
     pub use crate::algorithm::{
         AllPairsProfiles, Arcs, HopBound, ProfileOptions, ProfileOptionsBuilder, ProfilePartsError,
-        ProfileScratch, ProfileView, SourceProfileParts, SourceProfiles,
+        ProfileView, SourceProfileParts, SourceProfiles,
     };
     pub use crate::delivery::DeliveryFunction;
     pub use crate::diameter::{day_time_windows, CurveOptions, SuccessCurves};

@@ -39,8 +39,8 @@
 //!
 //! With no sink installed, every span/event instrumentation point costs
 //! one relaxed atomic load; counters cost one relaxed `fetch_add`. The
-//! `obs_overhead` bench in `omnet-bench` holds the disabled-mode total on
-//! the profile-engine gate to ≤ 2% (recorded in `BENCH_pr5.json`).
+//! target is a disabled-mode total of at most 2% on the §4.4 engine; no
+//! current benchmark measures it.
 
 #![deny(missing_docs)]
 
