@@ -38,6 +38,9 @@ pub const FORMAT_VERSION: u32 = 2;
 /// Section id of the profile-rows payload.
 pub const SECTION_ROWS: u32 = 1;
 
+/// Where the header stores its own byte length (a little-endian `u32`).
+pub(crate) const HEADER_LEN_AT: std::ops::Range<usize> = 12..16;
+
 /// Dataset- and engine-level identity of a profile set, stored in every
 /// shard header and required to agree across a set.
 #[derive(Debug, Clone, PartialEq)]
@@ -118,7 +121,7 @@ pub(crate) fn encode_header(
     }
     let header_len = (w.len() + 8) as u32;
     let mut buf = w.into_vec();
-    buf[12..16].copy_from_slice(&header_len.to_le_bytes());
+    buf[HEADER_LEN_AT].copy_from_slice(&header_len.to_le_bytes());
     let ck = fnv1a64(&buf);
     buf.extend_from_slice(&ck.to_le_bytes());
     Ok(buf)
@@ -175,6 +178,11 @@ pub(crate) fn parse_header(
     let num_internal = r.u32("num_internal")?;
     let w_start = r.f64_bits("window start")?;
     let w_end = r.f64_bits("window end")?;
+    if !(w_start.is_finite() && w_end.is_finite()) {
+        return Err(ArtifactError::Corrupt {
+            context: "window is not finite",
+        });
+    }
     if w_start > w_end {
         return Err(ArtifactError::Corrupt {
             context: "window start after end",
@@ -315,6 +323,27 @@ mod tests {
                 parse_header(&buf[..cut]).is_err(),
                 "prefix of {cut} bytes accepted"
             );
+        }
+    }
+
+    /// Regression: a NaN or infinite window (behind a valid header
+    /// checksum) reached the panicking `Time`/`Interval` constructors.
+    #[test]
+    fn non_finite_window_rejected() {
+        let buf = encode_header(&meta(), &range(), &[]).unwrap();
+        // The window follows magic, version, length, fingerprint, the
+        // 2-byte key length, the key and the two node counts.
+        let at = 8 + 4 + 4 + 8 + 2 + meta().dataset_key.len() + 4 + 4;
+        for (offset, value) in [(0, f64::NAN), (0, f64::NEG_INFINITY), (8, f64::INFINITY)] {
+            let mut bad = buf.clone();
+            bad[at + offset..at + offset + 8].copy_from_slice(&value.to_bits().to_le_bytes());
+            let ck_at = bad.len() - 8;
+            let ck = fnv1a64(&bad[..ck_at]);
+            bad[ck_at..].copy_from_slice(&ck.to_le_bytes());
+            assert!(matches!(
+                parse_header(&bad),
+                Err(ArtifactError::Corrupt { .. })
+            ));
         }
     }
 

@@ -12,32 +12,23 @@
 //! * one checksummed ROWS section holding the delta-aware encoding of each
 //!   source's per-level delivery-function additions
 //!   ([`omnet_core::SourceProfileParts`]);
-//! * a fast load path that validates the header and checksums, then
-//!   reconstructs [`omnet_core::SourceProfiles`] rows *without re-running
-//!   the induction* — corrupted or version-bumped input is rejected with a
-//!   typed [`ArtifactError`], never decoded into garbage answers.
+//! * one load path, [`map_shard`] / [`map_set`], that validates each
+//!   shard's header when the set is opened and reads, checksums and
+//!   decodes a shard's rows on the first query against it, rebuilding
+//!   [`omnet_core::SourceProfiles`] *without re-running the induction* —
+//!   corrupted, truncated or version-bumped input is rejected with a typed
+//!   [`ArtifactError`], never decoded into garbage answers.
 //!
 //! A profile set is N independent shard files ([`set::write_set`] /
-//! [`set::load_set`]), each covering a contiguous source range, so shards
+//! [`map_set`]), each covering a contiguous source range, so shards
 //! load, verify, and answer queries independently.
-//!
-//! Two load paths share one decoder:
-//!
-//! * the **buffered** path ([`load_shard`] / [`load_set`]) reads, verifies,
-//!   and decodes everything eagerly — the right shape for one-shot CLI
-//!   commands and for differential testing;
-//! * the **mapped** path ([`map_shard`] / [`map_set`]) memory-maps each
-//!   shard, validates only the header eagerly, and defers the ROWS
-//!   checksum + frontier validation to first access per shard — the
-//!   server's cold-start path, bounded by page faults instead of full
-//!   reads.
 
+#![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
 pub mod codec;
 pub mod format;
 pub mod mapped;
-pub mod mmap;
 pub mod set;
 pub mod shard;
 
@@ -46,14 +37,14 @@ mod error;
 pub use error::ArtifactError;
 pub use format::{ArtifactMeta, ShardRange, FORMAT_VERSION, MAGIC};
 pub use mapped::{map_set, map_shard, MappedSet, MappedShard};
-pub use set::{load_set, shard_ranges, write_set, ArtifactSet};
-pub use shard::{load_shard, write_shard, ShardArtifact};
+pub use set::{shard_ranges, write_set};
+pub use shard::write_shard;
 
 use omnet_obs::Counter;
 
 /// Shard files written.
 pub(crate) static WRITES: Counter = Counter::new("artifact.writes");
-/// Shard files loaded and verified.
+/// Shard files opened with a valid header.
 pub(crate) static LOADS: Counter = Counter::new("artifact.loads");
 /// Shard files rejected (bad magic, version, checksum, or content).
 pub(crate) static REJECTS: Counter = Counter::new("artifact.rejects");

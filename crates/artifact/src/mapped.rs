@@ -1,39 +1,48 @@
-//! Memory-mapped, lazily-verified shard sets: the server's load path.
+//! Lazily verified shard sets: the one way `.omna` shards are read.
 //!
-//! [`load_set`](crate::load_set) reads, checksums, and decodes every row
-//! of every shard before the first query can be answered — cold-start is
-//! a full sequential read of the artifact directory. [`map_set`] instead
-//! maps each shard file ([`crate::mmap::Mmap`]) and eagerly validates
-//! only the header (magic, version, header checksum, section extents):
-//! a few pages per shard. The ROWS section's checksum and frontier
-//! validation run *once per shard, on first access*, so a server over a
-//! 100-shard set that only ever answers sources from three shards never
-//! faults in — or verifies — the other ninety-seven.
+//! [`map_set`] opens each shard file and eagerly validates only its
+//! header (magic, version, header checksum, section extents against the
+//! file length): one small read per shard. Each shard keeps its open
+//! [`File`], and its ROWS section is read, checksummed and decoded *once,
+//! on first access*, so a server over a 100-shard set that only ever
+//! answers sources from three shards never reads — or verifies — the
+//! other ninety-seven.
 //!
 //! Laziness never weakens the rejection guarantee: a corrupted shard is
 //! still impossible to read rows from. The verification is merely moved
 //! from load time to first-access time, and its outcome (rows or the
-//! typed [`ArtifactError`]) is cached, so every later access agrees.
+//! typed [`ArtifactError`]) is cached, so every later access agrees. A
+//! file truncated after it was validated fails that first read as
+//! [`ArtifactError::Truncated`].
 
 use crate::codec::fnv1a64;
-use crate::format::{ArtifactMeta, ShardRange, SECTION_ROWS};
-use crate::mmap::Mmap;
+use crate::format::{ArtifactMeta, ShardRange, HEADER_LEN_AT, SECTION_ROWS};
 use crate::shard::decode_rows;
 use crate::ArtifactError;
 use omnet_core::SourceProfiles;
+use std::fs::File;
+use std::io::{self, Read, Seek, SeekFrom};
 use std::path::{Path, PathBuf};
 use std::sync::OnceLock;
 
-/// One mapped shard: header verified eagerly, ROWS section verified and
-/// decoded on first [`MappedShard::rows`] call.
+/// Bytes read up front for the header. Real headers are a few hundred
+/// bytes, so this is one read; a longer one (a long dataset key or many
+/// sections) costs a second read for the rest.
+const HEADER_READ: u64 = 4096;
+
+/// One opened shard: header verified eagerly, ROWS section read, verified
+/// and decoded on the first [`MappedShard::rows`] call.
 #[derive(Debug)]
 pub struct MappedShard {
-    map: Mmap,
+    /// The file the header was validated against, kept open so the rows
+    /// come from the same file even if the path is replaced.
+    file: File,
+    path: PathBuf,
     meta: ArtifactMeta,
     range: ShardRange,
-    /// `(offset, len)` of the ROWS body inside the mapping, bounds-checked
-    /// at map time.
-    rows_span: (usize, usize),
+    /// `(offset, len)` of the ROWS body in the file, checked against the
+    /// file length at open time.
+    rows_span: (u64, usize),
     /// Stored FNV-1a checksum the body must hash to.
     rows_ck: u64,
     /// First-access verification outcome; `Err` is cached too, so a
@@ -52,36 +61,37 @@ impl MappedShard {
         self.range
     }
 
-    /// Whether the bytes are a live mapping (vs the buffered fallback).
-    pub fn is_mapped(&self) -> bool {
-        self.map.is_mapped()
-    }
-
-    /// The decoded rows, verifying the ROWS checksum and every frontier
-    /// on the first call. `rows()[i]` is source `range.begin + i`.
+    /// The decoded rows, reading the ROWS section and verifying its
+    /// checksum and every frontier on the first call. `rows()[i]` is
+    /// source `range.begin + i`.
     pub fn rows(&self) -> Result<&[SourceProfiles], ArtifactError> {
         let outcome = self.rows.get_or_init(|| {
-            let (off, len) = self.rows_span;
-            let body = &self.map.as_slice()[off..off + len];
-            crate::BYTES_READ.add(len as u64);
-            if fnv1a64(body) != self.rows_ck {
+            let rows = self.read_rows();
+            if rows.is_err() {
                 crate::REJECTS.inc();
-                return Err(ArtifactError::ChecksumMismatch {
-                    what: "ROWS section",
-                });
             }
-            match decode_rows(body, &self.meta, &self.range) {
-                Ok(rows) => Ok(rows),
-                Err(e) => {
-                    crate::REJECTS.inc();
-                    Err(e)
-                }
-            }
+            rows
         });
         match outcome {
             Ok(rows) => Ok(rows),
             Err(e) => Err(e.clone()),
         }
+    }
+
+    fn read_rows(&self) -> Result<Vec<SourceProfiles>, ArtifactError> {
+        let (off, len) = self.rows_span;
+        let mut body = vec![0u8; len];
+        let mut file = &self.file;
+        file.seek(SeekFrom::Start(off))
+            .and_then(|_| file.read_exact(&mut body))
+            .map_err(|e| read_error(e, "ROWS section", &self.path))?;
+        crate::BYTES_READ.add(len as u64);
+        if fnv1a64(&body) != self.rows_ck {
+            return Err(ArtifactError::ChecksumMismatch {
+                what: "ROWS section",
+            });
+        }
+        decode_rows(&body, &self.meta, &self.range)
     }
 
     /// The rows if this shard has already been verified successfully;
@@ -95,7 +105,20 @@ impl MappedShard {
     }
 }
 
-/// Maps one shard file and validates its header and section extents;
+/// A short read means the file ends before what its header promised.
+fn read_error(e: io::Error, what: &'static str, path: &Path) -> ArtifactError {
+    if e.kind() == io::ErrorKind::UnexpectedEof {
+        ArtifactError::Truncated { context: what }
+    } else {
+        ArtifactError::Io {
+            context: "cannot read artifact shard",
+            path: PathBuf::from(path),
+            source: e,
+        }
+    }
+}
+
+/// Opens one shard file and validates its header and section extents;
 /// ROWS content verification is deferred to [`MappedShard::rows`].
 pub fn map_shard(path: &Path) -> Result<MappedShard, ArtifactError> {
     match map_shard_inner(path) {
@@ -111,30 +134,30 @@ pub fn map_shard(path: &Path) -> Result<MappedShard, ArtifactError> {
 }
 
 fn map_shard_inner(path: &Path) -> Result<MappedShard, ArtifactError> {
-    let map = Mmap::map(path).map_err(|source| ArtifactError::Io {
-        context: "cannot map artifact shard",
+    let io_error = |source| ArtifactError::Io {
+        context: "cannot open artifact shard",
         path: PathBuf::from(path),
         source,
-    })?;
-    let file = map.as_slice();
-    let (meta, range, sections, header_len) = crate::format::parse_header(file)?;
-    let mut offset = header_len;
-    let mut rows_span: Option<((usize, usize), u64)> = None;
+    };
+    let mut file = File::open(path).map_err(io_error)?;
+    let file_len = file.metadata().map_err(io_error)?.len();
+    let head = read_header_bytes(&mut file, file_len, path)?;
+    let (meta, range, sections, header_len) = crate::format::parse_header(&head)?;
+    let mut offset = header_len as u64;
+    let mut rows_span: Option<((u64, usize), u64)> = None;
     for (id, len, ck) in sections {
-        let len = usize::try_from(len).map_err(|_| ArtifactError::Truncated {
-            context: "section body",
-        })?;
         // `checked_add`: a corrupt header can claim a length near
-        // `usize::MAX`, and a wrapped sum would pass the bounds check.
-        let end = offset.checked_add(len).ok_or(ArtifactError::Truncated {
-            context: "section body",
-        })?;
-        if end > file.len() {
-            return Err(ArtifactError::Truncated {
+        // `u64::MAX`, and a wrapped sum would pass the bounds check.
+        let end = offset
+            .checked_add(len)
+            .filter(|&end| end <= file_len)
+            .ok_or(ArtifactError::Truncated {
                 context: "section body",
-            });
-        }
+            })?;
         if id == SECTION_ROWS {
+            let len = usize::try_from(len).map_err(|_| ArtifactError::Truncated {
+                context: "section body",
+            })?;
             rows_span = Some(((offset, len), ck));
         }
         // Unknown sections are additive extensions: skip, don't reject.
@@ -144,7 +167,8 @@ fn map_shard_inner(path: &Path) -> Result<MappedShard, ArtifactError> {
         context: "no ROWS section",
     })?;
     Ok(MappedShard {
-        map,
+        file,
+        path: PathBuf::from(path),
         meta,
         range,
         rows_span: span,
@@ -153,8 +177,33 @@ fn map_shard_inner(path: &Path) -> Result<MappedShard, ArtifactError> {
     })
 }
 
-/// A mapped set: every shard's header verified and cross-checked at map
-/// time, row content verified lazily per shard. Shards are ordered by
+/// Reads the header: the first [`HEADER_READ`] bytes (or the whole file
+/// if shorter), plus the rest of a longer header the file has room for.
+/// A header claiming more than the file holds stays short, so
+/// [`parse_header`](crate::format::parse_header) reports it truncated.
+fn read_header_bytes(
+    file: &mut File,
+    file_len: u64,
+    path: &Path,
+) -> Result<Vec<u8>, ArtifactError> {
+    let mut head = vec![0u8; file_len.min(HEADER_READ) as usize];
+    file.read_exact(&mut head)
+        .map_err(|e| read_error(e, "header", path))?;
+    let claimed = head
+        .get(HEADER_LEN_AT)
+        .and_then(|b| b.try_into().ok())
+        .map_or(0, |b| u64::from(u32::from_le_bytes(b)));
+    if claimed > head.len() as u64 && claimed <= file_len {
+        let read = head.len();
+        head.resize(claimed as usize, 0);
+        file.read_exact(&mut head[read..])
+            .map_err(|e| read_error(e, "header", path))?;
+    }
+    Ok(head)
+}
+
+/// An opened set: every shard's header verified and cross-checked at
+/// open time, row content verified lazily per shard. Shards are ordered by
 /// source range; gaps are allowed (a partial set still answers queries
 /// whose sources it covers).
 #[derive(Debug)]
@@ -165,7 +214,7 @@ pub struct MappedSet {
 }
 
 impl MappedSet {
-    /// The profile row for `source`: `Ok(None)` when no mapped shard
+    /// The profile row for `source`: `Ok(None)` when no shard in the set
     /// covers it, `Err` when the covering shard fails its (first)
     /// verification.
     pub fn row(&self, source: u32) -> Result<Option<&SourceProfiles>, ArtifactError> {
@@ -179,7 +228,7 @@ impl MappedSet {
         Ok(s.rows()?.get((source - s.range.begin) as usize))
     }
 
-    /// Total rows covered by the mapped shards (from the headers — never
+    /// Total rows covered by the set's shards (from the headers — never
     /// triggers row verification).
     pub fn num_rows(&self) -> usize {
         self.shards
@@ -188,15 +237,15 @@ impl MappedSet {
             .sum()
     }
 
-    /// The mapped shards, ascending by source range.
+    /// The shards, ascending by source range.
     pub fn shards(&self) -> &[MappedShard] {
         &self.shards
     }
 }
 
-/// Maps every `.omna` file under `dir` (sorted by file name) into a
-/// cross-checked [`MappedSet`]. Cold-start cost is header pages only;
-/// row bytes fault in per shard on first query.
+/// Opens every `.omna` file under `dir` (sorted by file name) into a
+/// cross-checked [`MappedSet`]. Cold-start cost is one header read per
+/// shard; each shard's rows are read on the first query against it.
 pub fn map_set(dir: &Path) -> Result<MappedSet, ArtifactError> {
     let entries = std::fs::read_dir(dir).map_err(|source| ArtifactError::Io {
         context: "cannot read artifact directory",
@@ -257,11 +306,14 @@ pub fn map_set(dir: &Path) -> Result<MappedSet, ArtifactError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{load_shard, write_set};
+    use crate::write_set;
     use omnet_core::{AllPairsProfiles, ProfileOptions};
     use omnet_temporal::TraceBuilder;
 
-    fn toy_set(tag: &str, shards: u32) -> (PathBuf, Vec<PathBuf>, ArtifactMeta) {
+    fn toy_set(
+        tag: &str,
+        shards: u32,
+    ) -> (PathBuf, Vec<PathBuf>, ArtifactMeta, Vec<SourceProfiles>) {
         let t = TraceBuilder::new()
             .num_nodes(6)
             .contact_secs(0, 1, 0.0, 10.0)
@@ -271,7 +323,7 @@ mod tests {
             .contact_secs(4, 5, 80.0, 90.0)
             .build();
         let opts = ProfileOptions::default();
-        let all = AllPairsProfiles::compute(&t, opts);
+        let rows = AllPairsProfiles::compute(&t, opts).into_rows();
         let meta = ArtifactMeta {
             dataset_key: "mapped".into(),
             num_nodes: 6,
@@ -281,23 +333,24 @@ mod tests {
         };
         let dir = std::env::temp_dir().join(format!("omna-mapped-{tag}-{}", std::process::id()));
         std::fs::remove_dir_all(&dir).ok();
-        let paths = write_set(&dir, "mapped", &meta, all.rows(), shards).unwrap();
-        (dir, paths, meta)
+        let paths = write_set(&dir, "mapped", &meta, &rows, shards).unwrap();
+        (dir, paths, meta, rows)
     }
 
     #[test]
-    fn mapped_rows_equal_buffered_rows() {
-        let (dir, paths, meta) = toy_set("eq", 3);
+    fn rows_equal_computed_rows() {
+        let (dir, paths, meta, computed) = toy_set("eq", 3);
         let set = map_set(&dir).unwrap();
         assert_eq!(set.meta, meta);
         assert_eq!(set.num_rows(), 6);
         for path in &paths {
-            let buffered = load_shard(path).unwrap();
-            let mapped = map_shard(path).unwrap();
-            let rows = mapped.rows().unwrap();
-            assert_eq!(rows.len(), buffered.rows.len());
-            for (m, b) in rows.iter().zip(&buffered.rows) {
-                assert_eq!(m.to_parts(), b.to_parts());
+            let shard = map_shard(path).unwrap();
+            let range = shard.range();
+            let rows = shard.rows().unwrap();
+            let expected = &computed[range.begin as usize..range.end as usize];
+            assert_eq!(rows.len(), expected.len());
+            for (got, want) in rows.iter().zip(expected) {
+                assert_eq!(got.to_parts(), want.to_parts());
             }
         }
         for s in 0..6u32 {
@@ -308,7 +361,7 @@ mod tests {
 
     #[test]
     fn verification_is_lazy_and_cached() {
-        let (dir, _, _) = toy_set("lazy", 2);
+        let (dir, ..) = toy_set("lazy", 2);
         let set = map_set(&dir).unwrap();
         for s in set.shards() {
             assert!(s.materialized_rows().is_none(), "rows decoded eagerly");
@@ -326,7 +379,7 @@ mod tests {
 
     #[test]
     fn body_corruption_rejected_at_first_access_every_time() {
-        let (dir, paths, _) = toy_set("corrupt", 1);
+        let (dir, paths, ..) = toy_set("corrupt", 1);
         let good = std::fs::read(&paths[0]).unwrap();
         let mut bad = good.clone();
         let i = bad.len() - 16;
@@ -346,13 +399,20 @@ mod tests {
     }
 
     #[test]
-    fn gaps_answer_none_like_the_buffered_set() {
-        let (dir, paths, _) = toy_set("gap", 3);
+    fn gaps_answer_none() {
+        // Shards cover 0..2, 2..4 and 4..6; the middle one goes missing.
+        let (dir, paths, ..) = toy_set("gap", 3);
         std::fs::remove_file(&paths[1]).unwrap();
+        assert!(matches!(
+            map_shard(&paths[1]),
+            Err(ArtifactError::Io { .. })
+        ));
         let set = map_set(&dir).unwrap();
-        assert!(set.row(0).unwrap().is_some());
+        assert_eq!(set.num_rows(), 4);
+        assert!(set.row(1).unwrap().is_some());
         assert!(set.row(2).unwrap().is_none());
-        assert!(set.row(5).unwrap().is_some());
+        assert!(set.row(3).unwrap().is_none());
+        assert!(set.row(4).unwrap().is_some());
         std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -1,8 +1,9 @@
 //! Sharded artifact sets: N independent shard files covering disjoint
-//! source ranges of one profile computation.
+//! source ranges of one profile computation. Written here, read back with
+//! [`map_set`](crate::map_set).
 
 use crate::format::{ArtifactMeta, ShardRange};
-use crate::shard::{load_shard, write_shard, ShardArtifact};
+use crate::shard::write_shard;
 use crate::ArtifactError;
 use omnet_core::SourceProfiles;
 use std::ops::Range;
@@ -69,109 +70,10 @@ pub fn write_set(
     Ok(paths)
 }
 
-/// A loaded set: every shard verified individually and cross-checked for
-/// consistency. Shards are ordered by source range; gaps are allowed (a
-/// partial set still answers queries whose sources it covers).
-#[derive(Debug, Clone)]
-pub struct ArtifactSet {
-    /// The metadata every shard agreed on.
-    pub meta: ArtifactMeta,
-    /// Loaded shards, ascending by `range.begin`, pairwise disjoint.
-    pub shards: Vec<ShardArtifact>,
-}
-
-impl ArtifactSet {
-    /// The profile row for `source`, or `None` when no loaded shard covers
-    /// it.
-    pub fn row(&self, source: u32) -> Option<&SourceProfiles> {
-        let si = self.shards.partition_point(|s| s.range.end <= source);
-        let s = self.shards.get(si)?;
-        if source < s.range.begin {
-            return None;
-        }
-        s.rows.get((source - s.range.begin) as usize)
-    }
-
-    /// Rows for every source `0..limit` in ascending order, or `None` if
-    /// any is not covered (the first missing source is returned in the
-    /// error position by [`ArtifactSet::first_missing`]).
-    pub fn rows_prefix(&self, limit: u32) -> Option<Vec<&SourceProfiles>> {
-        (0..limit).map(|s| self.row(s)).collect()
-    }
-
-    /// The smallest source in `0..limit` not covered by a loaded shard.
-    pub fn first_missing(&self, limit: u32) -> Option<u32> {
-        (0..limit).find(|&s| self.row(s).is_none())
-    }
-
-    /// Total profile rows across the loaded shards.
-    pub fn num_rows(&self) -> usize {
-        self.shards.iter().map(|s| s.rows.len()).sum()
-    }
-}
-
-/// Loads every `.omna` file under `dir` (sorted by file name) into a
-/// verified, cross-checked set.
-pub fn load_set(dir: &Path) -> Result<ArtifactSet, ArtifactError> {
-    let entries = std::fs::read_dir(dir).map_err(|source| ArtifactError::Io {
-        context: "cannot read artifact directory",
-        path: PathBuf::from(dir),
-        source,
-    })?;
-    let mut paths: Vec<PathBuf> = Vec::new();
-    for entry in entries {
-        let entry = entry.map_err(|source| ArtifactError::Io {
-            context: "cannot read artifact directory entry",
-            path: PathBuf::from(dir),
-            source,
-        })?;
-        let path = entry.path();
-        if path.extension().is_some_and(|e| e == "omna") {
-            paths.push(path);
-        }
-    }
-    paths.sort();
-    if paths.is_empty() {
-        return Err(ArtifactError::SetInconsistent {
-            context: format!("no .omna shards in {}", dir.display()),
-        });
-    }
-    let mut shards: Vec<ShardArtifact> = Vec::with_capacity(paths.len());
-    for path in &paths {
-        shards.push(load_shard(path)?);
-    }
-    shards.sort_by_key(|s| s.range.begin);
-    let meta = shards[0].meta.clone();
-    let count = shards[0].range.count;
-    for (i, s) in shards.iter().enumerate() {
-        if s.meta != meta {
-            return Err(ArtifactError::SetInconsistent {
-                context: format!(
-                    "shard {} metadata disagrees with the set (dataset {:?} vs {:?})",
-                    s.range.index, s.meta.dataset_key, meta.dataset_key
-                ),
-            });
-        }
-        if s.range.count != count {
-            return Err(ArtifactError::SetInconsistent {
-                context: format!(
-                    "shard {} claims {} total shards, set leader claims {count}",
-                    s.range.index, s.range.count
-                ),
-            });
-        }
-        if i > 0 && shards[i - 1].range.end > s.range.begin {
-            return Err(ArtifactError::SetInconsistent {
-                context: format!("shard ranges overlap at source {}", s.range.begin),
-            });
-        }
-    }
-    Ok(ArtifactSet { meta, shards })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::map_set;
     use omnet_core::{AllPairsProfiles, HopBound, ProfileOptions};
     use omnet_temporal::{NodeId, TraceBuilder};
 
@@ -214,13 +116,12 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
         let paths = write_set(&dir, "toy7", &meta, all.rows(), 3).unwrap();
         assert_eq!(paths.len(), 3);
-        let set = load_set(&dir).unwrap();
+        let set = map_set(&dir).unwrap();
         assert_eq!(set.num_rows(), 7);
-        assert_eq!(set.first_missing(7), None);
         // Shard ranges are 0..3, 3..5, 5..7: probe each boundary source
         // (first and last of every shard) against the in-memory truth.
         for s in [0u32, 2, 3, 4, 5, 6] {
-            let row = set.row(s).expect("covered");
+            let row = set.row(s).unwrap().expect("covered");
             for d in 0..7u32 {
                 assert_eq!(
                     row.profile(NodeId(d), HopBound::Unlimited).pairs(),
@@ -230,35 +131,6 @@ mod tests {
                 );
             }
         }
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn partial_set_reports_missing() {
-        let t = TraceBuilder::new()
-            .num_nodes(6)
-            .contact_secs(0, 1, 0.0, 10.0)
-            .contact_secs(2, 3, 0.0, 10.0)
-            .build();
-        let opts = ProfileOptions::default();
-        let all = AllPairsProfiles::compute(&t, opts);
-        let meta = ArtifactMeta {
-            dataset_key: "toy6".into(),
-            num_nodes: 6,
-            num_internal: 6,
-            window: t.span(),
-            options: opts,
-        };
-        let dir = std::env::temp_dir().join(format!("omna-part-{}", std::process::id()));
-        std::fs::remove_dir_all(&dir).ok();
-        let paths = write_set(&dir, "toy6", &meta, all.rows(), 3).unwrap();
-        std::fs::remove_file(&paths[1]).unwrap();
-        let set = load_set(&dir).unwrap();
-        assert_eq!(set.first_missing(6), Some(2));
-        assert!(set.row(2).is_none());
-        assert!(set.row(1).is_some());
-        assert!(set.row(4).is_some());
-        assert!(set.rows_prefix(6).is_none());
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -284,7 +156,7 @@ mod tests {
         meta.dataset_key = "b".into();
         write_set(&dir, "b", &meta, all.rows(), 2).unwrap();
         assert!(matches!(
-            load_set(&dir),
+            map_set(&dir),
             Err(ArtifactError::SetInconsistent { .. })
         ));
         std::fs::remove_dir_all(&dir).ok();

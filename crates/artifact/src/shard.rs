@@ -1,23 +1,11 @@
-//! Writing and loading one shard file.
+//! Writing one shard file, and the ROWS section codec.
 
 use crate::codec::{fnv1a64, Reader, Writer};
-use crate::format::{encode_header, parse_header, ArtifactMeta, ShardRange, SECTION_ROWS};
-use crate::{ArtifactError, BYTES_READ, BYTES_WRITTEN, LOADS, REJECTS, WRITES};
+use crate::format::{encode_header, ArtifactMeta, ShardRange, SECTION_ROWS};
+use crate::{ArtifactError, BYTES_WRITTEN, WRITES};
 use omnet_core::{SourceProfileParts, SourceProfiles};
 use omnet_temporal::{LdEa, NodeId, Time};
 use std::path::{Path, PathBuf};
-
-/// One loaded, verified shard: its metadata, source range, and
-/// reconstructed profile rows (ascending sources `range.begin..range.end`).
-#[derive(Debug, Clone)]
-pub struct ShardArtifact {
-    /// Set-level identity carried in the shard header.
-    pub meta: ArtifactMeta,
-    /// The contiguous source range this shard covers.
-    pub range: ShardRange,
-    /// Reconstructed rows, `rows[i]` for source `range.begin + i`.
-    pub rows: Vec<SourceProfiles>,
-}
 
 fn encode_run(w: &mut Writer, run: &[(u32, Box<[LdEa]>)]) {
     w.u32(run.len() as u32);
@@ -81,8 +69,7 @@ fn encode_rows(rows: &[SourceProfiles]) -> Vec<u8> {
 
 /// Decodes and validates the ROWS section body, reconstructing each row
 /// through [`SourceProfiles::from_parts`] (which re-checks every frontier).
-/// Shared by the buffered loader here and the lazy mapped loader
-/// ([`crate::mapped`]), so both decode byte-identically.
+/// Called by [`crate::mapped`] on a shard's first row access.
 pub(crate) fn decode_rows(
     body: &[u8],
     meta: &ArtifactMeta,
@@ -176,71 +163,10 @@ pub fn write_shard(
     Ok(total)
 }
 
-/// Loads and fully verifies one shard file: header magic, version, and
-/// checksum; section checksums; and every decoded frontier. Never runs the
-/// §4.4 induction.
-pub fn load_shard(path: &Path) -> Result<ShardArtifact, ArtifactError> {
-    match load_shard_inner(path) {
-        Ok(s) => {
-            LOADS.inc();
-            Ok(s)
-        }
-        Err(e) => {
-            REJECTS.inc();
-            Err(e)
-        }
-    }
-}
-
-fn load_shard_inner(path: &Path) -> Result<ShardArtifact, ArtifactError> {
-    let file = std::fs::read(path).map_err(|source| ArtifactError::Io {
-        context: "cannot read artifact shard",
-        path: PathBuf::from(path),
-        source,
-    })?;
-    BYTES_READ.add(file.len() as u64);
-    let (meta, range, sections, header_len) = parse_header(&file)?;
-    let mut offset = header_len;
-    let mut rows: Option<Vec<SourceProfiles>> = None;
-    for (id, len, ck) in sections {
-        let len = usize::try_from(len).map_err(|_| ArtifactError::Truncated {
-            context: "section body",
-        })?;
-        // `checked_add`: a corrupt header can claim a section length near
-        // `usize::MAX`; the unchecked sum wraps in release builds and a
-        // wrapped `offset + len` would pass the bounds check below, turning
-        // the slice below into an out-of-bounds panic instead of a typed
-        // rejection.
-        let end = offset.checked_add(len).ok_or(ArtifactError::Truncated {
-            context: "section body",
-        })?;
-        if end > file.len() {
-            return Err(ArtifactError::Truncated {
-                context: "section body",
-            });
-        }
-        let body = &file[offset..end];
-        offset = end;
-        if id != SECTION_ROWS {
-            // Unknown sections are additive extensions: skip, don't reject.
-            continue;
-        }
-        if fnv1a64(body) != ck {
-            return Err(ArtifactError::ChecksumMismatch {
-                what: "ROWS section",
-            });
-        }
-        rows = Some(decode_rows(body, &meta, &range)?);
-    }
-    let rows = rows.ok_or(ArtifactError::Corrupt {
-        context: "no ROWS section",
-    })?;
-    Ok(ShardArtifact { meta, range, rows })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::map_shard;
     use omnet_core::{AllPairsProfiles, HopBound, ProfileOptions};
     use omnet_temporal::TraceBuilder;
 
@@ -275,10 +201,10 @@ mod tests {
             end: 4,
         };
         write_shard(&path, &meta, range, &rows).unwrap();
-        let loaded = load_shard(&path).unwrap();
-        assert_eq!(loaded.meta, meta);
-        assert_eq!(loaded.range, range);
-        for (orig, back) in rows.iter().zip(&loaded.rows) {
+        let loaded = map_shard(&path).unwrap();
+        assert_eq!(loaded.meta(), &meta);
+        assert_eq!(loaded.range(), range);
+        for (orig, back) in rows.iter().zip(loaded.rows().unwrap()) {
             for d in 0..4u32 {
                 for k in 0..=5usize {
                     assert_eq!(
@@ -315,50 +241,11 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
-    #[test]
-    fn body_corruption_rejected() {
-        let (t, meta) = toy();
-        let rows = AllPairsProfiles::compute(&t, meta.options).into_rows();
-        let dir = std::env::temp_dir().join(format!("omna-corrupt-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("t.omna");
-        let range = ShardRange {
-            index: 0,
-            count: 1,
-            begin: 0,
-            end: 4,
-        };
-        write_shard(&path, &meta, range, &rows).unwrap();
-        let good = std::fs::read(&path).unwrap();
-
-        // Flip one bit in the last 32 bytes (well inside the ROWS body).
-        let mut bad = good.clone();
-        let i = bad.len() - 16;
-        bad[i] ^= 0x01;
-        std::fs::write(&path, &bad).unwrap();
-        assert!(matches!(
-            load_shard(&path),
-            Err(ArtifactError::ChecksumMismatch { .. })
-        ));
-
-        // Truncate the body.
-        std::fs::write(&path, &good[..good.len() - 10]).unwrap();
-        assert!(matches!(
-            load_shard(&path),
-            Err(ArtifactError::Truncated { .. })
-        ));
-
-        // Interior corruption caught even if the checksum is recomputed:
-        // swap two pair fields and fix up the section checksum — the
-        // frontier validation still rejects.
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
     /// Regression: a corrupt section-table length near `u64::MAX` used to
     /// wrap the `offset + len` bounds check in release builds and panic on
     /// the body slice instead of returning a typed rejection. The header
     /// checksum is fixed up after the patch so the corrupt length actually
-    /// reaches the section walk in both loaders.
+    /// reaches the section walk.
     #[test]
     fn huge_section_length_rejected_not_panicking() {
         let (t, meta) = toy();
@@ -374,7 +261,8 @@ mod tests {
         };
         write_shard(&path, &meta, range, &rows).unwrap();
         let mut file = std::fs::read(&path).unwrap();
-        let header_len = u32::from_le_bytes(file[12..16].try_into().unwrap()) as usize;
+        let header_len =
+            u32::from_le_bytes(file[crate::format::HEADER_LEN_AT].try_into().unwrap()) as usize;
         // Single-section table: trailing ck (8) + one entry (20); the len
         // field sits 4 bytes into the entry.
         let len_at = header_len - 8 - 20 + 4;
@@ -383,22 +271,16 @@ mod tests {
         file[header_len - 8..header_len].copy_from_slice(&ck.to_le_bytes());
         std::fs::write(&path, &file).unwrap();
         assert!(matches!(
-            load_shard(&path),
-            Err(ArtifactError::Truncated { .. })
-        ));
-        // The mapped loader walks the same table at map time.
-        assert!(matches!(
-            crate::mapped::map_shard(&path),
+            map_shard(&path),
             Err(ArtifactError::Truncated { .. })
         ));
         std::fs::remove_dir_all(&dir).ok();
     }
 
     /// Regression companion: a file cut mid-body (truncated tail) is a
-    /// typed `Truncated` from both the buffered and the mapped loader —
-    /// the mapped path must catch it at map time, before any row access.
+    /// typed `Truncated` at open time, before any row access.
     #[test]
-    fn truncated_tail_rejected_by_both_loaders() {
+    fn truncated_tail_rejected_at_open() {
         let (t, meta) = toy();
         let rows = AllPairsProfiles::compute(&t, meta.options).into_rows();
         let dir = std::env::temp_dir().join(format!("omna-tail-{}", std::process::id()));
@@ -412,17 +294,13 @@ mod tests {
         };
         write_shard(&path, &meta, range, &rows).unwrap();
         let good = std::fs::read(&path).unwrap();
-        for cut in [1usize, 10, good.len() / 2] {
+        for cut in [1usize, 10, good.len() / 2, good.len()] {
             std::fs::write(&path, &good[..good.len() - cut]).unwrap();
-            let buffered = load_shard(&path);
-            let mapped = crate::mapped::map_shard(&path);
-            match buffered {
-                Err(ArtifactError::Truncated { .. }) => assert!(
-                    matches!(mapped, Err(ArtifactError::Truncated { .. })),
-                    "loaders disagree at cut {cut}"
-                ),
-                other => panic!("cut {cut} not rejected as truncated: {other:?}"),
-            }
+            let opened = map_shard(&path);
+            assert!(
+                matches!(opened, Err(ArtifactError::Truncated { .. })),
+                "cut {cut} not rejected as truncated: {opened:?}"
+            );
         }
         std::fs::remove_dir_all(&dir).ok();
     }

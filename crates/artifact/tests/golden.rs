@@ -5,7 +5,7 @@
 //! golden`, keeping the previous version's shards under
 //! `tests/fixtures/v{N}/` so their refusal stays tested.
 
-use omnet_artifact::{load_set, map_set, write_set, ArtifactError, ArtifactMeta, FORMAT_VERSION};
+use omnet_artifact::{map_set, write_set, ArtifactError, ArtifactMeta, FORMAT_VERSION};
 use omnet_core::{AllPairsProfiles, HopBound, ProfileOptions};
 use omnet_temporal::{NodeId, Trace, TraceBuilder};
 use std::path::{Path, PathBuf};
@@ -42,14 +42,17 @@ fn fixture_dir() -> PathBuf {
 
 #[test]
 fn golden_fixture_loads_and_answers() {
-    let set = load_set(&fixture_dir())
+    let set = map_set(&fixture_dir())
         .expect("committed golden artifact failed to load: format compatibility break");
     let t = golden_trace();
     assert_eq!(set.meta, golden_meta(&t));
     assert_eq!(set.num_rows() as u32, t.num_nodes());
     let all = AllPairsProfiles::compute(&t, set.meta.options);
     for s in 0..t.num_nodes() {
-        let row = set.row(s).expect("source covered");
+        let row = set
+            .row(s)
+            .expect("golden shard verifies")
+            .expect("source covered");
         for d in 0..t.num_nodes() {
             assert_eq!(
                 row.profile(NodeId(d), HopBound::Unlimited).pairs(),
@@ -99,8 +102,8 @@ fn golden_fixture_bytes_are_current() {
 }
 
 /// Version-1 shards (which still carried the arc-pruning and level-storage
-/// option bytes) are refused by both loaders with the typed version error —
-/// never decoded, never reported as corrupt.
+/// option bytes) are refused with the typed version error — never decoded,
+/// never reported as corrupt.
 #[test]
 fn v1_fixture_is_refused_with_a_typed_version_error() {
     let dir = fixture_dir().join("v1");
@@ -117,6 +120,5 @@ fn v1_fixture_is_refused_with_a_typed_version_error() {
         );
     };
     assert_eq!(FORMAT_VERSION, 2);
-    expect(load_set(&dir).expect_err("v1 set loaded"));
     expect(map_set(&dir).expect_err("v1 set mapped"));
 }

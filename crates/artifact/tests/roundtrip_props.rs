@@ -2,9 +2,11 @@
 //! depths, and shard splits, write→load is
 //! semantically lossless — the reconstructed rows answer every
 //! `(dest, bound)` profile query identically to the in-memory engine —
-//! and random corruption is always rejected, never mis-decoded.
+//! random corruption is always rejected, never mis-decoded, and hostile
+//! bytes get a typed rejection, never a panic.
 
-use omnet_artifact::{load_set, load_shard, map_shard, write_set, ArtifactError, ArtifactMeta};
+use omnet_artifact::codec::fnv1a64;
+use omnet_artifact::{map_set, map_shard, write_set, ArtifactError, ArtifactMeta};
 use omnet_core::{AllPairsProfiles, HopBound, ProfileOptions, SourceProfiles};
 use omnet_temporal::{NodeId, Trace, TraceBuilder};
 use proptest::prelude::*;
@@ -36,6 +38,23 @@ fn tmp_dir(tag: &str) -> PathBuf {
     static NEXT: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
     let n = NEXT.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
     std::env::temp_dir().join(format!("omna-props-{tag}-{}-{n}", std::process::id()))
+}
+
+/// Writes `trace`'s profiles (default options) as a one-shard set under a
+/// fresh directory tagged `tag`.
+fn single_shard(trace: &Trace, tag: &str) -> (AllPairsProfiles, PathBuf, Vec<PathBuf>) {
+    let opts = ProfileOptions::default();
+    let all = AllPairsProfiles::compute(trace, opts);
+    let meta = ArtifactMeta {
+        dataset_key: tag.into(),
+        num_nodes: trace.num_nodes(),
+        num_internal: trace.num_internal(),
+        window: trace.span(),
+        options: opts,
+    };
+    let dir = tmp_dir(tag);
+    let paths = write_set(&dir, tag, &meta, all.rows(), 1).expect("write");
+    (all, dir, paths)
 }
 
 fn assert_rows_equivalent(orig: &AllPairsProfiles, row: &SourceProfiles, s: u32) {
@@ -76,11 +95,11 @@ proptest! {
         };
         let dir = tmp_dir("rt");
         write_set(&dir, "props", &meta, all.rows(), shards).expect("write");
-        let set = load_set(&dir).expect("load");
+        let set = map_set(&dir).expect("load");
         prop_assert_eq!(set.num_rows() as u32, trace.num_nodes());
         prop_assert_eq!(&set.meta, &meta);
         for s in 0..trace.num_nodes() {
-            let row = set.row(s).expect("covered");
+            let row = set.row(s).expect("verifies").expect("covered");
             assert_rows_equivalent(&all, row, s);
         }
         std::fs::remove_dir_all(&dir).ok();
@@ -92,23 +111,13 @@ proptest! {
         byte_seed in 0usize..10_000,
         bit in 0u8..8,
     ) {
-        let opts = ProfileOptions::default();
-        let all = AllPairsProfiles::compute(&trace, opts);
-        let meta = ArtifactMeta {
-            dataset_key: "corrupt".into(),
-            num_nodes: trace.num_nodes(),
-            num_internal: trace.num_internal(),
-            window: trace.span(),
-            options: opts,
-        };
-        let dir = tmp_dir("cor");
-        let paths = write_set(&dir, "corrupt", &meta, all.rows(), 1).expect("write");
+        let (all, dir, paths) = single_shard(&trace, "cor");
         let good = std::fs::read(&paths[0]).expect("read back");
         let mut bad = good.clone();
         let idx = byte_seed % bad.len();
         bad[idx] ^= 1 << bit;
         std::fs::write(&paths[0], &bad).expect("rewrite");
-        match load_shard(&paths[0]) {
+        match map_shard(&paths[0]).and_then(|s| s.rows().map(<[_]>::to_vec)) {
             // A flipped bit must surface as a typed rejection...
             Err(
                 ArtifactError::BadMagic { .. }
@@ -122,71 +131,110 @@ proptest! {
             // ...never as silently different answers (checksums make a
             // surviving load impossible except for the flipped bit being
             // repaired by... nothing; loads must equal the original).
-            Ok(loaded) => {
-                for s in 0..trace.num_nodes() {
-                    let row = &loaded.rows[s as usize];
+            Ok(rows) => {
+                for (s, row) in (0..trace.num_nodes()).zip(&rows) {
                     assert_rows_equivalent(&all, row, s);
                 }
             }
         }
         std::fs::remove_dir_all(&dir).ok();
     }
+}
 
-    /// Differential corruption oracle: the buffered loader and the mapped
-    /// (lazy-verify) loader must reach the same verdict on the same bytes
-    /// — identical rows on accept, the same rejection class on reject. The
-    /// only behavioral difference allowed is *when* the rejection happens
-    /// (map time vs first row access), never *whether* or *which*.
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Arbitrary byte strings named `.omna` are refused with a typed
+    /// error, at open time or on the first row read, never a panic.
     #[test]
-    fn corruption_verdicts_match_between_loaders(
+    fn arbitrary_bytes_are_rejected(bytes in prop::collection::vec(any_byte(), 0..600)) {
+        let dir = tmp_dir("bytes");
+        std::fs::create_dir_all(&dir).expect("mkdir");
+        let path = dir.join("hostile.omna");
+        std::fs::write(&path, &bytes).expect("write");
+        let verdict = map_shard(&path).and_then(|s| s.rows().map(<[_]>::len));
+        prop_assert!(verdict.is_err(), "random bytes decoded: {verdict:?}");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Hostile bytes spliced into a valid shard's ROWS body, with the
+    /// section checksum resealed so they get past the integrity check
+    /// into the row decoder: the verdict is rows or a typed error, never
+    /// a panic.
+    #[test]
+    fn resealed_hostile_rows_never_panic(
         trace in trace_strategy(),
-        byte_seed in 0usize..10_000,
-        bit in 0u8..8,
+        edits in prop::collection::vec((0usize..10_000, any_byte()), 1..12),
+        cut in prop::option::of(0usize..10_000),
     ) {
-        let opts = ProfileOptions::default();
-        let all = AllPairsProfiles::compute(&trace, opts);
-        let meta = ArtifactMeta {
-            dataset_key: "diff".into(),
-            num_nodes: trace.num_nodes(),
-            num_internal: trace.num_internal(),
-            window: trace.span(),
-            options: opts,
-        };
-        let dir = tmp_dir("diff");
-        let paths = write_set(&dir, "diff", &meta, all.rows(), 1).expect("write");
-        let good = std::fs::read(&paths[0]).expect("read back");
-        let mut bad = good.clone();
-        let idx = byte_seed % bad.len();
-        bad[idx] ^= 1 << bit;
-        std::fs::write(&paths[0], &bad).expect("rewrite");
-        let buffered = load_shard(&paths[0]);
-        // Compose the mapped path's two stages (eager header + lazy rows)
-        // into one verdict.
-        let mapped: Result<Vec<_>, ArtifactError> =
-            map_shard(&paths[0]).and_then(|s| s.rows().map(<[_]>::to_vec));
-        match (buffered, mapped) {
-            (Ok(b), Ok(m)) => {
-                prop_assert_eq!(b.rows.len(), m.len());
-                for (br, mr) in b.rows.iter().zip(&m) {
-                    prop_assert_eq!(br.to_parts(), mr.to_parts());
-                }
-            }
-            (Err(be), Err(me)) => {
-                prop_assert_eq!(
-                    std::mem::discriminant(&be),
-                    std::mem::discriminant(&me),
-                    "rejection classes diverged: buffered {be}, mapped {me}"
-                );
-            }
-            (b, m) => {
-                prop_assert!(
-                    false,
-                    "loaders disagree: buffered {:?}, mapped {:?}",
-                    b.map(|s| s.rows.len()),
-                    m.map(|r| r.len())
-                );
-            }
+        let (_, dir, paths) = single_shard(&trace, "host");
+        let file = std::fs::read(&paths[0]).expect("read back");
+        let header_len = u32::from_le_bytes(file[12..16].try_into().expect("4 bytes")) as usize;
+        let mut body = file[header_len..].to_vec();
+        for (at, byte) in edits {
+            let at = at % body.len();
+            body[at] = byte;
+        }
+        if let Some(cut) = cut {
+            body.truncate(cut % (body.len() + 1));
+        }
+        // Reseal: the single section-table entry ends 8 bytes before the
+        // header checksum, as (id u32, len u64, checksum u64).
+        let mut hostile = file[..header_len].to_vec();
+        hostile[header_len - 24..header_len - 16].copy_from_slice(&(body.len() as u64).to_le_bytes());
+        hostile[header_len - 16..header_len - 8].copy_from_slice(&fnv1a64(&body).to_le_bytes());
+        let header_ck = fnv1a64(&hostile[..header_len - 8]);
+        hostile[header_len - 8..].copy_from_slice(&header_ck.to_le_bytes());
+        hostile.extend_from_slice(&body);
+        std::fs::write(&paths[0], &hostile).expect("rewrite");
+        let shard = map_shard(&paths[0]).expect("resealed header opens");
+        match shard.rows() {
+            Ok(rows) => prop_assert_eq!(rows.len() as u32, trace.num_nodes()),
+            Err(
+                ArtifactError::Truncated { .. }
+                | ArtifactError::Corrupt { .. }
+                | ArtifactError::InvalidProfile(_),
+            ) => {}
+            Err(other) => prop_assert!(false, "unexpected rejection shape: {other}"),
         }
         std::fs::remove_dir_all(&dir).ok();
     }
+
+    /// Hostile bytes in a valid shard's header, resealed with a fresh
+    /// header checksum so they reach the field checks: opening gives a
+    /// shard or a typed error, never a panic. (Rows are not read: a
+    /// resealed header can claim any node count, and decoding allocates
+    /// per claimed node.)
+    #[test]
+    fn resealed_hostile_headers_never_panic(
+        trace in trace_strategy(),
+        edits in prop::collection::vec((0usize..10_000, any_byte()), 1..6),
+    ) {
+        let (_, dir, paths) = single_shard(&trace, "hdr");
+        let mut file = std::fs::read(&paths[0]).expect("read back");
+        let header_len = u32::from_le_bytes(file[12..16].try_into().expect("4 bytes")) as usize;
+        for (at, byte) in edits {
+            file[at % (header_len - 8)] = byte;
+        }
+        let header_ck = fnv1a64(&file[..header_len - 8]);
+        file[header_len - 8..header_len].copy_from_slice(&header_ck.to_le_bytes());
+        std::fs::write(&paths[0], &file).expect("rewrite");
+        match map_shard(&paths[0]) {
+            Ok(_)
+            | Err(
+                ArtifactError::BadMagic { .. }
+                | ArtifactError::UnsupportedVersion { .. }
+                | ArtifactError::Truncated { .. }
+                | ArtifactError::ChecksumMismatch { .. }
+                | ArtifactError::Corrupt { .. },
+            ) => {}
+            Err(other) => prop_assert!(false, "unexpected rejection shape: {other}"),
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+}
+
+/// Every byte value, 0 through 255.
+fn any_byte() -> impl Strategy<Value = u8> {
+    (0u16..256).prop_map(|b| b as u8)
 }

@@ -9,7 +9,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod artifacts;
 pub mod experiments;
 pub mod gate;
 pub mod harness;

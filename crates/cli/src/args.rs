@@ -2,8 +2,9 @@
 //! full CLI framework, and the grammar is tiny).
 //!
 //! Shape errors (wrong positional count, missing flag values, unknown
-//! subcommands) surface as [`CliError::Usage`]; malformed values surface as
-//! [`CliError::Parse`] — so the two get distinct exit codes in `main`.
+//! subcommands or flags) surface as [`CliError::Usage`]; malformed values
+//! surface as [`CliError::Parse`] — so the two get distinct exit codes in
+//! `main`.
 
 use crate::error::CliError;
 use std::path::PathBuf;
@@ -273,20 +274,22 @@ pub fn parse(argv: &[String]) -> Result<ParsedArgs, CliError> {
     let rest: Vec<&str> = it.collect();
     let cmd = match sub {
         "stats" => {
-            let [trace] = positional::<1>(&rest, "stats <trace>")?;
+            let (pos, _) = split_flags(&rest, &[], &[])?;
+            let [trace] = positional::<1>(&pos, "stats <trace>")?;
             Command::Stats(StatsArgs {
                 trace: trace.into(),
             })
         }
         "convert" => {
-            let [input, output] = positional::<2>(&rest, "convert <input> <output>")?;
+            let (pos, _) = split_flags(&rest, &[], &[])?;
+            let [input, output] = positional::<2>(&pos, "convert <input> <output>")?;
             Command::Convert(ConvertArgs {
                 input: input.into(),
                 output: output.into(),
             })
         }
         "generate" => {
-            let (pos, flags) = split_flags(&rest)?;
+            let (pos, flags) = split_flags(&rest, &["--days", "--seed"], &[])?;
             let [dataset, output] = positional::<2>(&pos, "generate <dataset> <output>")?;
             Command::Generate(GenerateArgs {
                 dataset: dataset.to_string(),
@@ -296,7 +299,7 @@ pub fn parse(argv: &[String]) -> Result<ParsedArgs, CliError> {
             })
         }
         "diameter" => {
-            let (pos, flags) = split_flags(&rest)?;
+            let (pos, flags) = split_flags(&rest, &["--eps", "--max-hops"], &["--internal-only"])?;
             let [trace] = positional::<1>(&pos, "diameter <trace>")?;
             Command::Diameter(DiameterArgs {
                 trace: trace.into(),
@@ -306,7 +309,7 @@ pub fn parse(argv: &[String]) -> Result<ParsedArgs, CliError> {
             })
         }
         "cdf" => {
-            let (pos, flags) = split_flags(&rest)?;
+            let (pos, flags) = split_flags(&rest, &["--hops", "--points"], &["--internal-only"])?;
             let [trace] = positional::<1>(&pos, "cdf <trace>")?;
             let hops = match flag_str(&flags, "--hops") {
                 Some(list) => list
@@ -324,8 +327,9 @@ pub fn parse(argv: &[String]) -> Result<ParsedArgs, CliError> {
             })
         }
         "path" => {
+            let (pos, _) = split_flags(&rest, &[], &[])?;
             let [trace, src, dst, start] =
-                positional::<4>(&rest, "path <trace> <src> <dst> <start-secs>")?;
+                positional::<4>(&pos, "path <trace> <src> <dst> <start-secs>")?;
             Command::Path(PathArgs {
                 trace: trace.into(),
                 src: src.parse().map_err(|_| CliError::parse("invalid src id"))?,
@@ -334,7 +338,7 @@ pub fn parse(argv: &[String]) -> Result<ParsedArgs, CliError> {
             })
         }
         "delivery" => {
-            let (pos, flags) = split_flags(&rest)?;
+            let (pos, flags) = split_flags(&rest, &["--hops"], &[])?;
             let [trace, src, dst, at] =
                 positional::<4>(&pos, "delivery <trace> <src> <dst> <at-secs> [--hops K]")?;
             Command::Delivery(DeliveryArgs {
@@ -346,7 +350,16 @@ pub fn parse(argv: &[String]) -> Result<ParsedArgs, CliError> {
             })
         }
         "precompute" => {
-            let (pos, flags) = split_flags(&rest)?;
+            let (pos, flags) = split_flags(
+                &rest,
+                &[
+                    "--shards",
+                    "--store-levels",
+                    "--max-levels",
+                    "--dataset-key",
+                ],
+                &[],
+            )?;
             let [trace, outdir] = positional::<2>(
                 &pos,
                 "precompute <trace> <outdir> [--shards N] [--store-levels K] \
@@ -362,7 +375,7 @@ pub fn parse(argv: &[String]) -> Result<ParsedArgs, CliError> {
             })
         }
         "query" => {
-            let (pos, flags) = split_flags(&rest)?;
+            let (pos, flags) = split_flags(&rest, &["--trace", "--remote"], &["--stdin"])?;
             let Some((artifacts, tokens)) = pos.split_first() else {
                 return Err(CliError::usage(
                     "expected: omnet query <artifacts> (<query...> | --stdin) [--trace FILE]",
@@ -377,7 +390,7 @@ pub fn parse(argv: &[String]) -> Result<ParsedArgs, CliError> {
             })
         }
         "serve" => {
-            let (pos, flags) = split_flags(&rest)?;
+            let (pos, flags) = split_flags(&rest, &["--trace"], &[])?;
             let Some((addr, specs)) = pos.split_first() else {
                 return Err(CliError::usage(
                     "expected: omnet serve <addr> <name>=<artifacts>... [--trace NAME=FILE]...",
@@ -408,7 +421,7 @@ pub fn parse(argv: &[String]) -> Result<ParsedArgs, CliError> {
             })
         }
         "prune" => {
-            let (pos, flags) = split_flags(&rest)?;
+            let (pos, flags) = split_flags(&rest, &["--keep", "--min-duration", "--seed"], &[])?;
             let [trace, output] = positional::<2>(&pos, "prune <trace> <output>")?;
             let keep: Option<f64> = flag_value(&flags, "--keep")?;
             let min_duration: Option<f64> = flag_value(&flags, "--min-duration")?;
@@ -426,7 +439,7 @@ pub fn parse(argv: &[String]) -> Result<ParsedArgs, CliError> {
             })
         }
         "flood" => {
-            let (pos, flags) = split_flags(&rest)?;
+            let (pos, flags) = split_flags(&rest, &["--ttl"], &[])?;
             let [trace, src, start] = positional::<3>(&pos, "flood <trace> <src> <start-secs>")?;
             Command::Flood(FloodArgs {
                 trace: trace.into(),
@@ -438,7 +451,8 @@ pub fn parse(argv: &[String]) -> Result<ParsedArgs, CliError> {
             })
         }
         "journeys" => {
-            let [trace, src, dst] = positional::<3>(&rest, "journeys <trace> <src> <dst>")?;
+            let (pos, _) = split_flags(&rest, &[], &[])?;
+            let [trace, src, dst] = positional::<3>(&pos, "journeys <trace> <src> <dst>")?;
             Command::Journeys(JourneysArgs {
                 trace: trace.into(),
                 src: src.parse().map_err(|_| CliError::parse("invalid src id"))?,
@@ -446,7 +460,17 @@ pub fn parse(argv: &[String]) -> Result<ParsedArgs, CliError> {
             })
         }
         "simulate" => {
-            let (pos, flags) = split_flags(&rest)?;
+            let (pos, flags) = split_flags(
+                &rest,
+                &[
+                    "--messages",
+                    "--routing",
+                    "--buffer",
+                    "--ttl-hops",
+                    "--seed",
+                ],
+                &[],
+            )?;
             let [trace] = positional::<1>(&pos, "simulate <trace>")?;
             Command::Simulate(SimulateArgs {
                 trace: trace.into(),
@@ -460,7 +484,7 @@ pub fn parse(argv: &[String]) -> Result<ParsedArgs, CliError> {
             })
         }
         "check" => {
-            let (pos, flags) = split_flags(&rest)?;
+            let (pos, flags) = split_flags(&rest, &["--starts"], &["--oracle"])?;
             let [trace] = positional::<1>(&pos, "check <trace> [--oracle] [--starts N]")?;
             Command::Check(CheckArgs {
                 trace: trace.into(),
@@ -469,7 +493,8 @@ pub fn parse(argv: &[String]) -> Result<ParsedArgs, CliError> {
             })
         }
         "components" => {
-            let [trace, at] = positional::<2>(&rest, "components <trace> <t-secs>")?;
+            let (pos, _) = split_flags(&rest, &[], &[])?;
+            let [trace, at] = positional::<2>(&pos, "components <trace> <t-secs>")?;
             Command::Components(ComponentsArgs {
                 trace: trace.into(),
                 at: at
@@ -485,15 +510,24 @@ pub fn parse(argv: &[String]) -> Result<ParsedArgs, CliError> {
 /// Flags parsed from argv: `(--name, optional value)` pairs.
 type ParsedFlags<'a> = Vec<(&'a str, Option<&'a str>)>;
 
-/// Splits `rest` into positional arguments and `--flag [value]` pairs.
-fn split_flags<'a>(rest: &[&'a str]) -> Result<(Vec<&'a str>, ParsedFlags<'a>), CliError> {
+/// Splits `rest` into positional arguments and `--flag [value]` pairs,
+/// rejecting any flag that is neither in `valued` (takes a value) nor in
+/// `switches` (stands alone).
+fn split_flags<'a>(
+    rest: &[&'a str],
+    valued: &[&str],
+    switches: &[&str],
+) -> Result<(Vec<&'a str>, ParsedFlags<'a>), CliError> {
     let mut pos = Vec::new();
     let mut flags = Vec::new();
     let mut i = 0;
     while i < rest.len() {
         let a = rest[i];
         if a.starts_with("--") {
-            let takes_value = !matches!(a, "--internal-only" | "--oracle" | "--stdin");
+            let takes_value = valued.contains(&a);
+            if !takes_value && !switches.contains(&a) {
+                return Err(CliError::usage(format!("unknown flag {a}")));
+            }
             if takes_value {
                 let v = rest
                     .get(i + 1)
@@ -831,6 +865,17 @@ mod tests {
         ));
         assert!(matches!(
             parse(&argv("prune a b")).unwrap_err(),
+            CliError::Usage(_)
+        ));
+        // A misspelt flag is refused and named, not silently ignored …
+        let typo = parse(&argv("diameter t.trace --max-hop 3")).unwrap_err();
+        assert!(
+            matches!(&typo, CliError::Usage(m) if m.contains("--max-hop")),
+            "{typo}"
+        );
+        // … as is a flag the subcommand does not take.
+        assert!(matches!(
+            parse(&argv("stats t.trace --oracle")).unwrap_err(),
             CliError::Usage(_)
         ));
         // … while malformed values are parse errors.

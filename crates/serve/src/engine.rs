@@ -16,9 +16,9 @@ use std::sync::{Arc, Mutex};
 
 /// Where answers come from.
 enum Backend {
-    /// A persisted artifact set, memory-mapped: headers verified at load
-    /// time, each shard's rows checksum-verified and decoded on first
-    /// query against it. The §4.4 induction never runs on this path.
+    /// A persisted artifact set: headers verified at load time, each
+    /// shard's rows read, checksum-verified and decoded on the first query
+    /// against it. The §4.4 induction never runs on this path.
     Shards(MappedSet),
     /// An in-memory trace; rows are computed on first use per source and
     /// memoized, so interactive one-shot commands stay cheap. The flat CSR
@@ -83,12 +83,12 @@ impl Row<'_> {
 }
 
 impl Engine {
-    /// Maps every `*.omna` shard under `dir` into an artifact-backed
+    /// Opens every `*.omna` shard under `dir` into an artifact-backed
     /// engine. Emits one `serve.load` span. Shard headers (magic, version,
     /// header checksum, section extents) are verified here; each shard's
-    /// ROWS checksum and frontier validation run on the first query
-    /// against it, so cold-start is bounded by page faults, not full
-    /// reads — and a corrupted shard is still rejected (with
+    /// ROWS section is read, checksummed and validated on the first query
+    /// against it, so cold-start costs one header read per shard — and a
+    /// corrupted or truncated shard is still rejected (with
     /// [`QueryError::ShardRejected`]) before a single row is answered
     /// from it.
     pub fn load_dir(dir: &Path) -> Result<Engine, ArtifactError> {
@@ -835,6 +835,37 @@ mod tests {
             }),
             Err(QueryError::ShardMissing { source: 2 })
         ));
+    }
+
+    /// Regression: a shard truncated after the set was opened used to
+    /// raise `SIGBUS` on first access (its rows were memory-mapped); it
+    /// must be a typed rejection from the set and from the engine.
+    #[test]
+    fn shard_truncated_after_load_is_rejected_not_fatal() {
+        let t = toy();
+        let meta = meta_of(&t, ProfileOptions::default());
+        let rows = AllPairsProfiles::compute(&t, meta.options).into_rows();
+        let dir = tmp("trunc");
+        let paths = omnet_artifact::write_set(&dir, "toy", &meta, &rows, 2).unwrap();
+        let set = omnet_artifact::map_set(&dir).unwrap();
+        let engine = Engine::load_dir(&dir).unwrap();
+        std::fs::OpenOptions::new()
+            .write(true)
+            .open(&paths[0])
+            .unwrap()
+            .set_len(0)
+            .unwrap();
+        assert!(matches!(set.row(0), Err(ArtifactError::Truncated { .. })));
+        assert!(matches!(
+            engine.answer(&Query::Delivery {
+                src: 0,
+                dst: 3,
+                at: Time::secs(0.0),
+                bound: HopBound::Unlimited
+            }),
+            Err(QueryError::ShardRejected { source: 0, .. })
+        ));
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

@@ -200,6 +200,16 @@ fn dur_json(d: Dur) -> Json {
     Json::f64(d.as_secs())
 }
 
+/// An interval from two time fields; both must be finite and ordered.
+fn get_interval(j: &Json, start: &'static str, end: &'static str) -> Result<Interval, WireError> {
+    let (s, e) = (get_time(j, start)?, get_time(j, end)?);
+    if s.is_finite() && e.is_finite() && s <= e {
+        Ok(Interval::new(s, e))
+    } else {
+        Err(malformed(start))
+    }
+}
+
 fn get_dur(j: &Json, key: &'static str) -> Result<Dur, WireError> {
     Ok(get_opt(j, key)?.map_or(Dur::INF, Dur::secs))
 }
@@ -326,7 +336,7 @@ pub fn decode_request(bytes: &[u8]) -> Result<Request, WireError> {
                         let b = num(&parts[1], "append")?;
                         let start: f64 = num(&parts[2], "append")?;
                         let end: f64 = num(&parts[3], "append")?;
-                        if !(start.is_finite() && end.is_finite() && start <= end) {
+                        if a == b || !(start.is_finite() && end.is_finite() && start <= end) {
                             return Err(malformed("append"));
                         }
                         Ok(Contact::secs(a, b, start, end))
@@ -503,7 +513,7 @@ fn decode_answer(j: &Json) -> Result<QueryResponse, WireError> {
                             Ok(PathHop {
                                 from: NodeId(get_num(h, "from")?),
                                 to: NodeId(get_num(h, "to")?),
-                                window: Interval::new(get_time(h, "start")?, get_time(h, "end")?),
+                                window: get_interval(h, "start", "end")?,
                                 at: get_time(h, "at")?,
                             })
                         })
@@ -547,7 +557,7 @@ fn decode_answer(j: &Json) -> Result<QueryResponse, WireError> {
                 dataset_key: get_str(j, "dataset_key")?,
                 num_nodes: get_num(j, "num_nodes")?,
                 num_internal: get_num(j, "num_internal")?,
-                window: Interval::new(get_time(j, "window_start")?, get_time(j, "window_end")?),
+                window: get_interval(j, "window_start", "window_end")?,
                 options: decode_options(field(j, "options")?)?,
                 shards: get_num(j, "shards")?,
                 rows: get_num(j, "rows")?,
@@ -999,6 +1009,21 @@ mod tests {
             decode_request(b"{\"op\":\"delta\",\"dataset\":\"d\",\"key_epoch\":1,\"remove\":[],\"append\":[[0,1,5,2]]}"),
             Err(WireError::Malformed { .. })
         ));
+        // Self-contacts and unbounded or inverted windows are malformed, not
+        // panics in the `Contact` and `Interval` constructors.
+        assert!(matches!(
+            decode_request(b"{\"op\":\"delta\",\"dataset\":\"d\",\"key_epoch\":1,\"remove\":[],\"append\":[[2,2,0,1]]}"),
+            Err(WireError::Malformed { .. })
+        ));
+        for window in [r#""start":30,"end":1"#, r#""start":null,"end":1"#] {
+            let frame = format!(
+                r#"{{"type":"results","results":[{{"ok":true,"answer":{{"type":"path","src":0,"dst":1,"at":5,"reachable":true,"arrival":9,"delay":4,"hops":1,"route":[{{"from":0,"to":1,{window},"at":5}}]}}}}]}}"#
+            );
+            assert!(matches!(
+                decode_response(frame.as_bytes()),
+                Err(WireError::Malformed { .. })
+            ));
+        }
         // JSON syntax errors surface as malformed frames too.
         for bad in [&b"{"[..], b"[1,]", b"{} trailing"] {
             assert!(matches!(
