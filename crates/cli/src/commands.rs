@@ -6,7 +6,7 @@
 //! malformed embedded values (routing specs, raw listings) as
 //! [`CliError::Parse`].
 
-use crate::args::*;
+use crate::args::{Args, Secs};
 use crate::error::CliError;
 use crate::render;
 use omnet_artifact::{write_set, ArtifactError, ArtifactMeta};
@@ -67,13 +67,14 @@ fn wire_err(e: wire::WireError) -> CliError {
 }
 
 /// `omnet stats`.
-pub fn stats(a: &StatsArgs) -> Result<String, CliError> {
-    let trace = load(&a.trace)?;
+pub fn stats(a: &Args) -> Result<String, CliError> {
+    let path = a.path(0);
+    let trace = load(&path)?;
     let s = TraceStats::of(&trace);
     let durations = omnet_temporal::stats::contact_durations(&trace);
     let gaps = omnet_temporal::stats::inter_contact_times(&trace);
     let mut out = String::new();
-    let _ = writeln!(out, "trace:               {}", a.trace.display());
+    let _ = writeln!(out, "trace:               {}", path.display());
     let _ = writeln!(out, "observation window:  {}", s.duration);
     let _ = writeln!(
         out,
@@ -120,12 +121,13 @@ pub fn stats(a: &StatsArgs) -> Result<String, CliError> {
 }
 
 /// `omnet convert`.
-pub fn convert(a: &ConvertArgs) -> Result<String, CliError> {
-    let file = std::fs::File::open(&a.input)
-        .map_err(|e| CliError::io("cannot read listing", &a.input, io::IoError::Io(e)))?;
+pub fn convert(a: &Args) -> Result<String, CliError> {
+    let (input, output) = (a.path(0), a.path(1));
+    let file = std::fs::File::open(&input)
+        .map_err(|e| CliError::io("cannot read listing", &input, io::IoError::Io(e)))?;
     let imp =
         io::import_lenient(file).map_err(|e| CliError::parse(format!("import failed: {e}")))?;
-    save(&imp.trace, &a.output)?;
+    save(&imp.trace, &output)?;
     Ok(format!(
         "imported {} rows ({} skipped) from {} distinct device ids\n\
          wrote {} contacts among {} nodes to {}\n",
@@ -134,13 +136,16 @@ pub fn convert(a: &ConvertArgs) -> Result<String, CliError> {
         imp.id_count,
         imp.trace.num_contacts(),
         imp.trace.num_nodes(),
-        a.output.display()
+        output.display()
     ))
 }
 
 /// `omnet generate`.
-pub fn generate(a: &GenerateArgs) -> Result<String, CliError> {
-    let dataset = match a.dataset.to_ascii_lowercase().as_str() {
+pub fn generate(a: &Args) -> Result<String, CliError> {
+    let output = a.path(1);
+    let days = a.flag::<Secs>("--days")?.map(|d| d.0);
+    let seed = a.flag("--seed")?.unwrap_or(7);
+    let dataset = match a.arg(0).to_ascii_lowercase().as_str() {
         "infocom05" => Dataset::Infocom05,
         "infocom06" => Dataset::Infocom06,
         "hongkong" | "hong-kong" => Dataset::HongKong,
@@ -151,155 +156,162 @@ pub fn generate(a: &GenerateArgs) -> Result<String, CliError> {
             )))
         }
     };
-    let trace = match a.days {
-        Some(days) => dataset.generate_days(days, a.seed),
-        None => dataset.generate(a.seed),
+    let trace = match days {
+        Some(days) if !dataset.accepts_days(days) => {
+            return Err(CliError::domain(format!(
+                "--days must lie in (0, {}] for {}",
+                dataset.spec().duration.as_days(),
+                dataset.label()
+            )))
+        }
+        Some(days) => dataset.generate_days(days, seed),
+        None => dataset.generate(seed),
     };
-    save(&trace, &a.output)?;
+    save(&trace, &output)?;
     Ok(format!(
         "generated synthetic {}: {} devices, {} contacts over {}\nwrote {}\n",
         dataset.label(),
         trace.num_nodes(),
         trace.num_contacts(),
         trace.span().duration(),
-        a.output.display()
+        output.display()
     ))
 }
 
 /// `omnet diameter`: routed through the typed query engine (trace-backed).
-pub fn diameter(a: &DiameterArgs) -> Result<String, CliError> {
-    let trace = load(&a.trace)?;
-    let trace = if a.internal_only {
+pub fn diameter(a: &Args) -> Result<String, CliError> {
+    let path = a.path(0);
+    let internal_only = a.switch("--internal-only");
+    let query = Query::Diameter {
+        eps: a.flag("--eps")?.unwrap_or(0.01),
+        max_hops: a.flag("--max-hops")?.unwrap_or(10),
+        internal_only,
+    };
+    let trace = load(&path)?;
+    let trace = if internal_only {
         transform::internal_only(&trace)
     } else {
         trace
     };
-    let engine = Engine::from_trace(
-        Arc::new(trace),
-        ProfileOptions::default(),
-        &trace_key(&a.trace),
-    );
-    let resp = engine
-        .answer(&Query::Diameter {
-            eps: a.eps,
-            max_hops: a.max_hops,
-            internal_only: a.internal_only,
-        })
-        .map_err(query_err)?;
-    Ok(render::response(&resp))
+    answer(trace, &path, &query)
 }
 
 /// `omnet cdf`.
-pub fn cdf(a: &CdfArgs) -> Result<String, CliError> {
-    if a.points < 2 {
+pub fn cdf(a: &Args) -> Result<String, CliError> {
+    let path = a.path(0);
+    let hops: Vec<usize> = match a.flag::<String>("--hops")? {
+        Some(list) => list
+            .split(',')
+            .map(|h| h.trim().parse())
+            .collect::<Result<_, _>>()
+            .map_err(|_| CliError::parse("invalid --hops list"))?,
+        None => vec![1, 2, 4],
+    };
+    let points = a.flag("--points")?.unwrap_or(16);
+    let internal_only = a.switch("--internal-only");
+    if points < 2 {
         return Err(CliError::domain("--points must be at least 2"));
     }
-    let trace = load(&a.trace)?;
-    let trace = if a.internal_only {
+    let trace = load(&path)?;
+    let trace = if internal_only {
         transform::internal_only(&trace)
     } else {
         trace
     };
-    if trace.span().duration().as_secs() <= 0.0 {
+    if trace.span().duration() <= Dur::ZERO {
         return Err(CliError::domain(
             "the observation window is empty: no message creation time to draw",
         ));
     }
     let horizon = trace.span().duration().as_secs().max(240.0);
-    let grid: Vec<Dur> = omnet_analysis::log_grid(120.0_f64.min(horizon / 2.0), horizon, a.points)
+    let grid: Vec<Dur> = omnet_analysis::log_grid(120.0_f64.min(horizon / 2.0), horizon, points)
         .into_iter()
         .map(Dur::secs)
         .collect();
-    let max_hop = a.hops.iter().copied().max().unwrap_or(1);
+    let max_hop = hops.iter().copied().max().unwrap_or(1);
     let mut opts = CurveOptions::standard(max_hop, grid.clone());
-    opts.internal_pairs_only = a.internal_only;
+    opts.internal_pairs_only = internal_only;
     let curves = SuccessCurves::compute(&trace, &opts);
     let mut series = omnet_analysis::Series::new(
         "delay_s",
         grid.iter().map(|d| d.as_secs()).collect::<Vec<_>>(),
     );
-    for &k in &a.hops {
-        if let Some(c) = curves.curve(HopBound::AtMost(k)) {
-            series.curve(format!("{k}hop"), c.to_vec());
+    let columns = hops
+        .iter()
+        .map(|&k| (format!("{k}hop"), HopBound::AtMost(k)));
+    for (name, bound) in columns.chain([("flood".to_string(), HopBound::Unlimited)]) {
+        if let Some(c) = curves.curve(bound) {
+            series.curve(name, c.to_vec());
         }
     }
-    series.curve(
-        "flood",
-        curves
-            .curve(HopBound::Unlimited)
-            .expect("standard options include flooding")
-            .to_vec(),
-    );
     Ok(series.render())
 }
 
 /// `omnet path`: routed through the typed query engine (trace-backed, so
 /// the concrete contact chain is reconstructed).
-pub fn path(a: &PathArgs) -> Result<String, CliError> {
-    let trace = load(&a.trace)?;
-    let engine = Engine::from_trace(
-        Arc::new(trace),
-        ProfileOptions::default(),
-        &trace_key(&a.trace),
-    );
-    let resp = engine
-        .answer(&Query::Path {
-            src: a.src,
-            dst: a.dst,
-            at: Time::secs(a.start),
-        })
-        .map_err(query_err)?;
-    Ok(render::response(&resp))
+pub fn path(a: &Args) -> Result<String, CliError> {
+    let path = a.path(0);
+    let query = Query::Path {
+        src: a.pos(1, "invalid src id")?,
+        dst: a.pos(2, "invalid dst id")?,
+        at: Time::secs(a.secs(3, "invalid start time")?),
+    };
+    answer(load(&path)?, &path, &query)
 }
 
 /// `omnet delivery`: one delivery-function lookup through the engine.
-pub fn delivery(a: &DeliveryArgs) -> Result<String, CliError> {
-    let trace = load(&a.trace)?;
-    let engine = Engine::from_trace(
-        Arc::new(trace),
-        ProfileOptions::default(),
-        &trace_key(&a.trace),
-    );
-    let resp = engine
-        .answer(&Query::Delivery {
-            src: a.src,
-            dst: a.dst,
-            at: Time::secs(a.at),
-            bound: a.hops.map_or(HopBound::Unlimited, HopBound::AtMost),
-        })
-        .map_err(query_err)?;
+pub fn delivery(a: &Args) -> Result<String, CliError> {
+    let path = a.path(0);
+    let query = Query::Delivery {
+        src: a.pos(1, "invalid src id")?,
+        dst: a.pos(2, "invalid dst id")?,
+        at: Time::secs(a.secs(3, "invalid creation time")?),
+        bound: a
+            .flag("--hops")?
+            .map_or(HopBound::Unlimited, HopBound::AtMost),
+    };
+    answer(load(&path)?, &path, &query)
+}
+
+/// Answers one query through a trace-backed engine keyed by the file name.
+fn answer(trace: Trace, path: &Path, query: &Query) -> Result<String, CliError> {
+    let engine = Engine::from_trace(Arc::new(trace), ProfileOptions::default(), &trace_key(path));
+    let resp = engine.answer(query).map_err(query_err)?;
     Ok(render::response(&resp))
 }
 
 /// `omnet precompute`: trace → sharded profile artifacts on disk.
-pub fn precompute(a: &PrecomputeArgs) -> Result<String, CliError> {
-    if a.shards == 0 {
-        return Err(CliError::domain("--shards must be positive"));
-    }
-    let trace = load(&a.trace)?;
+pub fn precompute(a: &Args) -> Result<String, CliError> {
+    let (path, outdir) = (a.path(0), a.path(1));
+    let shards: u32 = a.flag("--shards")?.unwrap_or(1);
     let mut b = ProfileOptions::builder();
-    if let Some(k) = a.store_levels {
+    if let Some(k) = a.flag("--store-levels")? {
         b = b.store_levels(k);
     }
-    if let Some(k) = a.max_levels {
+    if let Some(k) = a.flag("--max-levels")? {
         b = b.max_levels(k);
     }
+    let dataset_key = a.flag("--dataset-key")?;
+    if shards == 0 {
+        return Err(CliError::domain("--shards must be positive"));
+    }
+    let trace = load(&path)?;
     let opts = b.build();
     let meta = ArtifactMeta {
-        dataset_key: a.dataset_key.clone().unwrap_or_else(|| trace_key(&a.trace)),
+        dataset_key: dataset_key.unwrap_or_else(|| trace_key(&path)),
         num_nodes: trace.num_nodes(),
         num_internal: trace.num_internal(),
         window: trace.span(),
         options: opts,
     };
     let rows = AllPairsProfiles::compute(&trace, opts).into_rows();
-    let paths = write_set(&a.outdir, "profiles", &meta, &rows, a.shards).map_err(artifact_err)?;
+    let paths = write_set(&outdir, "profiles", &meta, &rows, shards).map_err(artifact_err)?;
     Ok(format!(
         "precomputed {} source rows ({} stored hop classes) into {} shard(s) under {}\n",
         rows.len(),
         opts.store_levels,
         paths.len(),
-        a.outdir.display()
+        outdir.display()
     ))
 }
 
@@ -307,134 +319,112 @@ pub fn precompute(a: &PrecomputeArgs) -> Result<String, CliError> {
 /// stdin batch, never re-running the profile induction. With `--remote`
 /// the first positional is a server-side dataset *name* and the queries
 /// travel over the wire instead — same queries, same rendered bytes.
-pub fn query(a: &QueryArgs) -> Result<String, CliError> {
-    if let Some(addr) = &a.remote {
-        return query_remote(a, addr);
-    }
-    let mut engine = Engine::load_dir(&a.artifacts).map_err(artifact_err)?;
-    if let Some(tp) = &a.trace {
-        let trace = load(tp)?;
-        engine = engine.with_trace(Arc::new(trace)).map_err(artifact_err)?;
-    }
-    if a.stdin {
-        if !a.tokens.is_empty() {
-            return Err(CliError::usage(
-                "--stdin and an inline query are mutually exclusive",
+pub fn query(a: &Args) -> Result<String, CliError> {
+    let trace: Option<std::path::PathBuf> = a.flag("--trace")?;
+    if let Some(addr) = a.flag::<String>("--remote")? {
+        if trace.is_some() {
+            return Err(CliError::conflict(
+                "--trace is a local-load option; attach traces server-side at `omnet serve` time",
             ));
         }
-        let mut text = String::new();
-        std::io::Read::read_to_string(&mut std::io::stdin(), &mut text).map_err(|e| {
-            CliError::io(
-                "cannot read queries",
-                Path::new("<stdin>"),
-                io::IoError::Io(e),
-            )
-        })?;
-        return Ok(query_batch(&engine, &text));
+        return query_remote(a, &addr);
     }
-    if a.tokens.is_empty() {
-        return Err(CliError::usage(
+    let mut engine = Engine::load_dir(&a.path(0)).map_err(artifact_err)?;
+    if let Some(tp) = &trace {
+        engine = engine
+            .with_trace(Arc::new(load(tp)?))
+            .map_err(artifact_err)?;
+    }
+    match query_input(a)? {
+        QueryInput::Stdin(text) => Ok(query_batch(&engine, &text)),
+        QueryInput::Inline(tokens) => {
+            let q = Query::parse_tokens(tokens).map_err(query_err)?;
+            let resp = engine.answer(&q).map_err(query_err)?;
+            Ok(render::response(&resp))
+        }
+    }
+}
+
+/// Where `omnet query` takes its queries from.
+enum QueryInput<'a> {
+    /// One query, tokenized.
+    Inline(&'a [&'a str]),
+    /// One query per line.
+    Stdin(String),
+}
+
+/// Reads the queries of `omnet query`: `--stdin` or the positionals after
+/// the first, never both and never neither.
+fn query_input<'a>(a: &'a Args) -> Result<QueryInput<'a>, CliError> {
+    match (a.switch("--stdin"), a.rest(1)) {
+        (true, []) => {
+            let mut text = String::new();
+            std::io::Read::read_to_string(&mut std::io::stdin(), &mut text).map_err(|e| {
+                CliError::io(
+                    "cannot read queries",
+                    Path::new("<stdin>"),
+                    io::IoError::Io(e),
+                )
+            })?;
+            Ok(QueryInput::Stdin(text))
+        }
+        (true, _) => Err(CliError::conflict(
+            "--stdin and an inline query are mutually exclusive",
+        )),
+        (false, []) => Err(CliError::conflict(
             "expected a query (delivery|path|diameter|stats) or --stdin",
-        ));
+        )),
+        (false, tokens) => Ok(QueryInput::Inline(tokens)),
     }
-    let tokens: Vec<&str> = a.tokens.iter().map(String::as_str).collect();
-    let q = Query::parse_tokens(&tokens).map_err(query_err)?;
-    let resp = engine.answer(&q).map_err(query_err)?;
-    Ok(render::response(&resp))
 }
 
 /// Answers one query per line through the engine's executor-batched path,
 /// preserving line order. Failed lines render as `error: …` without
 /// aborting the batch.
 pub fn query_batch(engine: &Engine, text: &str) -> String {
-    enum Slot {
-        Answer(usize),
-        Bad(QueryError),
-    }
     let mut queries = Vec::new();
-    let mut slots = Vec::new();
-    for line in text.lines() {
-        match Query::parse_line(line) {
-            Ok(None) => {}
+    // One slot per query line: a parse error, or `None` for the next answer.
+    let slots: Vec<Option<QueryError>> = text
+        .lines()
+        .filter_map(|line| match Query::parse_line(line) {
+            Ok(None) => None,
             Ok(Some(q)) => {
-                slots.push(Slot::Answer(queries.len()));
                 queries.push(q);
+                Some(None)
             }
-            Err(e) => slots.push(Slot::Bad(e)),
-        }
-    }
-    let answers = engine.answer_batch(&queries);
-    let mut out = String::new();
-    for slot in slots {
-        match slot {
-            Slot::Answer(i) => match &answers[i] {
-                Ok(r) => out.push_str(&render::response(r)),
-                Err(e) => {
-                    let _ = writeln!(out, "error: {e}");
-                }
-            },
-            Slot::Bad(e) => {
-                let _ = writeln!(out, "error: {e}");
-            }
-        }
-    }
-    out
+            Err(e) => Some(Some(e)),
+        })
+        .collect();
+    let mut answers = engine.answer_batch(&queries).into_iter();
+    render::results(
+        slots
+            .into_iter()
+            .filter_map(|bad| bad.map_or_else(|| answers.next(), |e| Some(Err(e)))),
+    )
 }
 
 /// The `--remote` arm of `omnet query`: ships the query lines to an
 /// `omnet serve` instance and renders the decoded answers with the same
 /// renderers as the local path, so output is byte-identical.
-fn query_remote(a: &QueryArgs, addr: &str) -> Result<String, CliError> {
-    if a.trace.is_some() {
-        return Err(CliError::usage(
-            "--trace is a local-load option; attach traces server-side at `omnet serve` time",
-        ));
-    }
-    let dataset = a.artifacts.to_string_lossy().into_owned();
-    let (lines, batch) = if a.stdin {
-        if !a.tokens.is_empty() {
-            return Err(CliError::usage(
-                "--stdin and an inline query are mutually exclusive",
-            ));
-        }
-        let mut text = String::new();
-        std::io::Read::read_to_string(&mut std::io::stdin(), &mut text).map_err(|e| {
-            CliError::io(
-                "cannot read queries",
-                Path::new("<stdin>"),
-                io::IoError::Io(e),
-            )
-        })?;
-        (text.lines().map(String::from).collect::<Vec<_>>(), true)
-    } else {
-        if a.tokens.is_empty() {
-            return Err(CliError::usage(
-                "expected a query (delivery|path|diameter|stats) or --stdin",
-            ));
-        }
+fn query_remote(a: &Args, addr: &str) -> Result<String, CliError> {
+    let (lines, batch) = match query_input(a)? {
+        QueryInput::Stdin(text) => (text.lines().map(String::from).collect(), true),
         // Tokens re-split identically server-side: the query grammar is
         // whitespace-separated, so joining is lossless.
-        (vec![a.tokens.join(" ")], false)
+        QueryInput::Inline(tokens) => (vec![tokens.join(" ")], false),
     };
     let mut client = wire::Client::connect(addr).map_err(wire_err)?;
     let resp = client
-        .call(&wire::Request::Query { dataset, lines })
+        .call(&wire::Request::Query {
+            dataset: a.arg(0).to_string(),
+            lines,
+        })
         .map_err(wire_err)?;
     let wire::Response::Results(results) = resp else {
         return Err(CliError::domain("remote: unexpected response type"));
     };
     if batch {
-        // Mirror `query_batch`: render answers, keep `error:` lines inline.
-        let mut out = String::new();
-        for r in results {
-            match r {
-                Ok(resp) => out.push_str(&render::response(&resp)),
-                Err(e) => {
-                    let _ = writeln!(out, "error: {e}");
-                }
-            }
-        }
-        Ok(out)
+        Ok(render::results(results))
     } else {
         match results.into_iter().next() {
             Some(Ok(resp)) => Ok(render::response(&resp)),
@@ -450,38 +440,61 @@ fn query_remote(a: &QueryArgs, addr: &str) -> Result<String, CliError> {
 /// source trace to artifact dataset NAME (enabling `path` routes) or, when
 /// NAME has no artifact binding, serves FILE as a trace-backed dataset
 /// that also accepts wire deltas.
-pub fn serve(a: &ServeArgs) -> Result<String, CliError> {
+pub fn serve(a: &Args) -> Result<String, CliError> {
+    let addr = a.arg(0);
+    let datasets = a
+        .rest(1)
+        .iter()
+        .map(|spec| split_binding(spec, "dataset"))
+        .collect::<Result<Vec<_>, _>>()?;
+    let traces = a
+        .all("--trace")
+        .map(|spec| split_binding(spec, "--trace"))
+        .collect::<Result<Vec<_>, _>>()?;
+    if datasets.is_empty() && traces.is_empty() {
+        return Err(CliError::usage(
+            "serve needs at least one dataset (<name>=<artifacts> or --trace NAME=FILE)",
+        ));
+    }
     let mut engines: Vec<(String, Engine)> = Vec::new();
-    for (name, dir) in &a.datasets {
+    for &(name, dir) in &datasets {
         if engines.iter().any(|(n, _)| n == name) {
-            return Err(CliError::usage(format!("dataset '{name}' is bound twice")));
+            return Err(CliError::conflict(format!(
+                "dataset '{name}' is bound twice"
+            )));
         }
-        let mut engine = Engine::load_dir(dir).map_err(artifact_err)?;
-        if let Some((_, tp)) = a.traces.iter().find(|(n, _)| n == name) {
-            let trace = load(tp)?;
+        let mut engine = Engine::load_dir(Path::new(dir)).map_err(artifact_err)?;
+        if let Some(&(_, tp)) = traces.iter().find(|(n, _)| *n == name) {
+            let trace = load(Path::new(tp))?;
             engine = engine.with_trace(Arc::new(trace)).map_err(artifact_err)?;
         }
-        engines.push((name.clone(), engine));
+        engines.push((name.to_string(), engine));
     }
-    for (name, tp) in &a.traces {
-        if a.datasets.iter().any(|(n, _)| n == name) {
+    for &(name, tp) in &traces {
+        if datasets.iter().any(|(n, _)| *n == name) {
             continue; // attached above
         }
         if engines.iter().any(|(n, _)| n == name) {
-            return Err(CliError::usage(format!("dataset '{name}' is bound twice")));
+            return Err(CliError::conflict(format!(
+                "dataset '{name}' is bound twice"
+            )));
         }
-        let trace = load(tp)?;
-        let engine = Engine::from_trace(Arc::new(trace), ProfileOptions::default(), &trace_key(tp));
-        engines.push((name.clone(), engine));
+        let tp = Path::new(tp);
+        let engine = Engine::from_trace(
+            Arc::new(load(tp)?),
+            ProfileOptions::default(),
+            &trace_key(tp),
+        );
+        engines.push((name.to_string(), engine));
     }
     let names: Vec<&str> = engines.iter().map(|(n, _)| n.as_str()).collect();
     let summary = names.join(", ");
-    let server = Server::bind(&a.addr, engines)
-        .map_err(|e| CliError::io("cannot bind", Path::new(&a.addr), io::IoError::Io(e)))?;
-    let addr = server.local_addr().map_err(|e| {
+    let server = Server::bind(addr, engines)
+        .map_err(|e| CliError::io("cannot bind", Path::new(addr), io::IoError::Io(e)))?;
+    let bound = server.local_addr().map_err(|e| {
         CliError::io(
             "cannot resolve bound address",
-            Path::new(&a.addr),
+            Path::new(addr),
             io::IoError::Io(e),
         )
     })?;
@@ -492,74 +505,101 @@ pub fn serve(a: &ServeArgs) -> Result<String, CliError> {
     {
         use std::io::Write as _;
         let mut out = std::io::stdout().lock();
-        let _ = writeln!(out, "listening on {addr} (datasets: {summary})");
+        let _ = writeln!(out, "listening on {bound} (datasets: {summary})");
         let _ = out.flush();
     }
     let report = server
         .run()
-        .map_err(|e| CliError::io("serve failed", Path::new(&a.addr), io::IoError::Io(e)))?;
+        .map_err(|e| CliError::io("serve failed", Path::new(addr), io::IoError::Io(e)))?;
     Ok(format!(
         "served {} connections, {} requests ({} rejected during shutdown)\n",
         report.connections, report.requests, report.rejected
     ))
 }
 
+/// Splits a `name=value` binding (dataset specs, `--trace` values).
+fn split_binding<'a>(spec: &'a str, what: &str) -> Result<(&'a str, &'a str), CliError> {
+    match spec.split_once('=') {
+        Some((name, value)) if !name.is_empty() && !value.is_empty() => Ok((name, value)),
+        _ => Err(CliError::usage(format!(
+            "{what} binding '{spec}' must have the form NAME=PATH"
+        ))),
+    }
+}
+
 /// `omnet prune`.
-pub fn prune(a: &PruneArgs) -> Result<String, CliError> {
-    let trace = load(&a.trace)?;
+pub fn prune(a: &Args) -> Result<String, CliError> {
+    enum Mode {
+        Keep(f64),
+        MinDuration(f64),
+    }
+    let (path, output) = (a.path(0), a.path(1));
+    let mode = match (a.flag("--keep")?, a.flag::<Secs>("--min-duration")?) {
+        (Some(keep), None) => Mode::Keep(keep),
+        (None, Some(Secs(secs))) => Mode::MinDuration(secs),
+        _ => {
+            return Err(CliError::usage(
+                "prune needs exactly one of --keep or --min-duration",
+            ))
+        }
+    };
+    let seed = a.flag("--seed")?.unwrap_or(7);
+    let trace = load(&path)?;
     let before = trace.num_contacts();
-    let pruned = match (a.keep, a.min_duration) {
-        (Some(keep), None) => {
+    let pruned = match mode {
+        Mode::Keep(keep) => {
             if !(0.0..=1.0).contains(&keep) {
                 return Err(CliError::domain("--keep must lie in [0, 1]"));
             }
             use rand::SeedableRng;
-            let mut rng = rand::rngs::StdRng::seed_from_u64(a.seed);
+            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
             transform::remove_random(&trace, 1.0 - keep, &mut rng)
         }
-        (None, Some(secs)) => {
+        Mode::MinDuration(secs) => {
             if secs < 0.0 {
                 return Err(CliError::domain("--min-duration must be non-negative"));
             }
             transform::min_duration(&trace, Dur::secs(secs))
         }
-        _ => unreachable!("argument parser enforces exactly one mode"),
     };
-    save(&pruned, &a.output)?;
+    save(&pruned, &output)?;
     Ok(format!(
         "kept {} of {} contacts ({:.1}%)\nwrote {}\n",
         pruned.num_contacts(),
         before,
         100.0 * pruned.num_contacts() as f64 / before.max(1) as f64,
-        a.output.display()
+        output.display()
     ))
 }
 
 /// `omnet flood`.
-pub fn flood_cmd(a: &FloodArgs) -> Result<String, CliError> {
-    let trace = load(&a.trace)?;
-    if a.src >= trace.num_nodes() {
+pub fn flood_cmd(a: &Args) -> Result<String, CliError> {
+    let path = a.path(0);
+    let src: u32 = a.pos(1, "invalid src id")?;
+    let t0 = Time::secs(a.secs(2, "invalid start time")?);
+    let ttl = a.flag("--ttl")?;
+    let trace = load(&path)?;
+    if src >= trace.num_nodes() {
         return Err(CliError::domain(format!(
             "node ids must be below {}",
             trace.num_nodes()
         )));
     }
-    let t0 = Time::secs(a.start);
-    let out = flood(&trace, NodeId(a.src), t0, a.ttl);
+    let out = flood(&trace, NodeId(src), t0, ttl);
     let mut text = String::new();
     let _ = writeln!(
         text,
         "flooding from {} at {}{}: reached {} of {} nodes, {} transmissions",
-        a.src,
+        src,
         t0,
-        a.ttl.map_or(String::new(), |t| format!(" (TTL {t})")),
+        ttl.map_or(String::new(), |t| format!(" (TTL {t})")),
         out.reached(),
         trace.num_nodes(),
         out.transmissions
     );
     let mut arrivals: Vec<(NodeId, Time, u32)> = trace
         .nodes()
-        .filter(|n| n.0 != a.src && out.delivery(*n) < Time::INF)
+        .filter(|n| n.0 != src && out.delivery(*n) < Time::INF)
         .map(|n| (n, out.delivery(n), out.hops[n.index()]))
         .collect();
     arrivals.sort_by_key(|(_, at, _)| *at);
@@ -579,32 +619,25 @@ pub fn flood_cmd(a: &FloodArgs) -> Result<String, CliError> {
 }
 
 /// `omnet journeys`.
-pub fn journeys(a: &JourneysArgs) -> Result<String, CliError> {
-    let trace = load(&a.trace)?;
+pub fn journeys(a: &Args) -> Result<String, CliError> {
+    let path = a.path(0);
+    let src: u32 = a.pos(1, "invalid src id")?;
+    let dst: u32 = a.pos(2, "invalid dst id")?;
+    let trace = load(&path)?;
     let n = trace.num_nodes();
-    if a.src >= n || a.dst >= n {
+    if src >= n || dst >= n {
         return Err(CliError::domain(format!("node ids must be below {n}")));
     }
-    if a.src == a.dst {
+    if src == dst {
         return Err(CliError::domain("source equals destination"));
     }
     let profiles = AllPairsProfiles::compute(&trace, ProfileOptions::default());
-    let f = profiles.profile(NodeId(a.src), NodeId(a.dst), HopBound::Unlimited);
+    let f = profiles.profile(NodeId(src), NodeId(dst), HopBound::Unlimited);
     if f.is_empty() {
-        return Ok(format!(
-            "no path ever exists from {} to {}
-",
-            a.src, a.dst
-        ));
+        return Ok(format!("no path ever exists from {src} to {dst}\n"));
     }
-    let mut text = format!(
-        "{} optimal journeys from {} to {}:
-",
-        f.len(),
-        a.src,
-        a.dst
-    );
-    let journeys = optimal_journeys(&trace, NodeId(a.src), NodeId(a.dst), &f)
+    let mut text = format!("{} optimal journeys from {src} to {dst}:\n", f.len());
+    let journeys = optimal_journeys(&trace, NodeId(src), NodeId(dst), &f)
         .map_err(|e| CliError::domain(e.to_string()))?;
     for (pair, path) in journeys {
         let _ = writeln!(
@@ -620,15 +653,23 @@ pub fn journeys(a: &JourneysArgs) -> Result<String, CliError> {
 }
 
 /// `omnet simulate`.
-pub fn simulate_cmd(a: &SimulateArgs) -> Result<String, CliError> {
-    let trace = load(&a.trace)?;
+pub fn simulate_cmd(a: &Args) -> Result<String, CliError> {
+    let path = a.path(0);
+    let messages = a.flag("--messages")?.unwrap_or(200);
+    let routing_name = a
+        .flag("--routing")?
+        .unwrap_or_else(|| "epidemic".to_string());
+    let buffer = a.flag("--buffer")?.unwrap_or(0);
+    let ttl_hops = a.flag("--ttl-hops")?;
+    let seed = a.flag("--seed")?.unwrap_or(7);
+    let trace = load(&path)?;
     if trace.num_internal() < 2 {
         return Err(CliError::domain(
             "simulation needs at least two internal devices",
         ));
     }
     let routing =
-        match a.routing.as_str() {
+        match routing_name.as_str() {
             "epidemic" => Routing::Epidemic,
             "direct" => Routing::Direct,
             other => match other.strip_prefix("spray:") {
@@ -644,14 +685,14 @@ pub fn simulate_cmd(a: &SimulateArgs) -> Result<String, CliError> {
         };
     let config = SimConfig {
         routing,
-        buffer_capacity: if a.buffer == 0 { usize::MAX } else { a.buffer },
-        ttl_hops: a.ttl_hops,
+        buffer_capacity: if buffer == 0 { usize::MAX } else { buffer },
+        ttl_hops,
         ..SimConfig::default()
     };
-    let workload = uniform_workload(&trace, a.messages, 0.6, a.seed);
+    let workload = uniform_workload(&trace, messages, 0.6, seed);
     let r = simulate(&trace, &workload, config);
     let mut text = String::new();
-    let _ = writeln!(text, "routing:             {}", a.routing);
+    let _ = writeln!(text, "routing:             {routing_name}");
     let _ = writeln!(text, "messages:            {}", r.generated);
     let _ = writeln!(
         text,
@@ -678,14 +719,14 @@ pub fn simulate_cmd(a: &SimulateArgs) -> Result<String, CliError> {
 }
 
 /// `omnet components`.
-pub fn components(a: &ComponentsArgs) -> Result<String, CliError> {
+pub fn components(a: &Args) -> Result<String, CliError> {
     use omnet_temporal::connectivity;
-    let trace = load(&a.trace)?;
-    let t = Time::secs(a.at);
+    let path = a.path(0);
+    let t = Time::secs(a.secs(1, "invalid snapshot time")?);
+    let trace = load(&path)?;
     let comps = connectivity::snapshot_components(&trace, t);
     let mut text = format!(
-        "snapshot at {}: {} components, giant fraction {:.1}%, snapshot diameter {}
-",
+        "snapshot at {}: {} components, giant fraction {:.1}%, snapshot diameter {}\n",
         t,
         comps.len(),
         connectivity::giant_component_fraction(&trace, t) * 100.0,
@@ -709,9 +750,12 @@ pub fn components(a: &ComponentsArgs) -> Result<String, CliError> {
 }
 
 /// `omnet check`.
-pub fn check(a: &CheckArgs) -> Result<String, CliError> {
+pub fn check(a: &Args) -> Result<String, CliError> {
     use omnet_core::{cross_check, CrossCheckOptions};
-    let trace = load(&a.trace)?;
+    let path = a.path(0);
+    let oracle = a.switch("--oracle");
+    let starts = a.flag::<usize>("--starts")?.unwrap_or(4).max(1);
+    let trace = load(&path)?;
     let mut text = String::new();
     trace
         .validate()
@@ -724,7 +768,7 @@ pub fn check(a: &CheckArgs) -> Result<String, CliError> {
         trace.span().duration()
     );
 
-    let hop_classes = if a.oracle {
+    let hop_classes = if oracle {
         if trace.num_contacts() > 64 {
             return Err(CliError::domain(format!(
                 "--oracle enumerates every contact sequence (exponential) and this \
@@ -737,15 +781,15 @@ pub fn check(a: &CheckArgs) -> Result<String, CliError> {
         Vec::new()
     };
     let span = trace.span();
-    let starts: Vec<Time> = (0..a.starts.max(1))
+    let start_times: Vec<Time> = (0..starts)
         .map(|i| {
-            let frac = i as f64 / a.starts.max(1) as f64;
+            let frac = i as f64 / starts as f64;
             Time::secs(span.start.as_secs() + frac * span.duration().as_secs())
         })
         .collect();
     let opts = CrossCheckOptions {
         hop_classes,
-        starts,
+        starts: start_times,
         max_divergences: 8,
     };
     let divergences = cross_check(&trace, &opts);
@@ -757,8 +801,8 @@ pub fn check(a: &CheckArgs) -> Result<String, CliError> {
         let _ = writeln!(
             text,
             "differential cross-check: OK (profiles vs Dijkstra at {} starts{})",
-            a.starts.max(1),
-            if a.oracle {
+            starts,
+            if oracle {
                 ", hop classes 1-4 vs brute force"
             } else {
                 ""
@@ -788,7 +832,7 @@ mod tests {
         dir
     }
 
-    fn toy_trace_file(dir: &Path) -> std::path::PathBuf {
+    fn toy_trace_file(dir: &Path) -> String {
         let p = dir.join("toy.trace");
         std::fs::write(
             &p,
@@ -796,52 +840,47 @@ mod tests {
              0 1 0 120\n1 2 100 260\n2 3 400 520\n0 3 800 920\n0 1 600 720\n",
         )
         .unwrap();
-        p
+        p.display().to_string()
+    }
+
+    /// Runs one whitespace-separated `omnet` invocation in-process.
+    fn omnet(args: &str) -> Result<String, CliError> {
+        let argv: Vec<String> = args.split_whitespace().map(String::from).collect();
+        crate::run(&argv).map(Option::unwrap_or_default)
     }
 
     #[test]
     fn check_passes_on_well_formed_trace() {
-        let dir = tempdir();
-        let p = toy_trace_file(&dir);
-        let out = check(&CheckArgs {
-            trace: p,
-            oracle: true,
-            starts: 3,
-        })
-        .unwrap();
+        let p = toy_trace_file(&tempdir());
+        let out = omnet(&format!("check {p} --oracle --starts 3")).unwrap();
         assert!(out.contains("trace structure: OK"));
         assert!(out.contains("condition 4"));
-        assert!(out.contains("brute force"));
+        assert!(
+            out.contains("at 3 starts, hop classes 1-4 vs brute force"),
+            "{out}"
+        );
+        let out = omnet(&format!("check {p}")).unwrap();
+        assert!(out.contains("at 4 starts)"), "{out}");
     }
 
     #[test]
     fn check_oracle_refuses_large_traces() {
-        let dir = tempdir();
-        let p = dir.join("large.trace");
-        let mut text = String::from(
-            "# nodes 40
-",
-        );
+        let p = tempdir().join("large.trace");
+        let mut text = String::from("# nodes 40\n");
         for i in 0..70u32 {
             let t = f64::from(i) * 10.0;
             let _ = writeln!(text, "{} {} {} {}", i % 39, i % 39 + 1, t, t + 5.0);
         }
         std::fs::write(&p, text).unwrap();
-        let err = check(&CheckArgs {
-            trace: p,
-            oracle: true,
-            starts: 1,
-        })
-        .unwrap_err();
+        let err = omnet(&format!("check {} --oracle", p.display())).unwrap_err();
         assert!(matches!(err, CliError::Domain(_)), "{err}");
         assert!(err.to_string().contains("prune"), "{err}");
     }
 
     #[test]
     fn stats_renders_key_lines() {
-        let dir = tempdir();
-        let p = toy_trace_file(&dir);
-        let out = stats(&StatsArgs { trace: p }).unwrap();
+        let p = toy_trace_file(&tempdir());
+        let out = omnet(&format!("stats {p}")).unwrap();
         assert!(out.contains("4 internal + 0 external"));
         assert!(out.contains("5 internal + 0 external"));
         assert!(out.contains("contact duration"));
@@ -854,11 +893,7 @@ mod tests {
         let input = dir.join("raw.txt");
         std::fs::write(&input, "A B 0 100 extra cols\nB C 50 150\nnot a row\n").unwrap();
         let output = dir.join("converted.trace");
-        let msg = convert(&ConvertArgs {
-            input,
-            output: output.clone(),
-        })
-        .unwrap();
+        let msg = omnet(&format!("convert {} {}", input.display(), output.display())).unwrap();
         assert!(msg.contains("imported 2 rows (1 skipped)"));
         let back = io::load(&output).unwrap();
         assert_eq!(back.num_contacts(), 2);
@@ -866,41 +901,35 @@ mod tests {
     }
 
     #[test]
-    fn generate_writes_a_trace() {
+    fn generate_writes_a_trace_seeded_7_by_default() {
         let dir = tempdir();
-        let output = dir.join("hk.trace");
-        let msg = generate(&GenerateArgs {
-            dataset: "HongKong".into(),
-            output: output.clone(),
-            days: Some(0.5),
-            seed: 3,
-        })
-        .unwrap();
-        assert!(msg.contains("Hong-Kong"));
-        let t = io::load(&output).unwrap();
+        let gen = |name: &str, seed: &str| {
+            let output = dir.join(name);
+            let msg = omnet(&format!(
+                "generate HongKong {} --days 0.5{seed}",
+                output.display()
+            ));
+            assert!(msg.unwrap().contains("Hong-Kong"));
+            std::fs::read(output).unwrap()
+        };
+        let default = gen("hk.trace", "");
+        assert_eq!(default, gen("hk7.trace", " --seed 7"));
+        assert_ne!(default, gen("hk8.trace", " --seed 8"));
+        let t = io::load(&dir.join("hk.trace")).unwrap();
         assert_eq!(t.num_internal(), 37);
         assert_eq!(t.span().duration(), Dur::hours(12.0));
     }
 
     #[test]
     fn generate_rejects_unknown_dataset() {
-        let err = generate(&GenerateArgs {
-            dataset: "nope".into(),
-            output: "x".into(),
-            days: None,
-            seed: 0,
-        })
-        .unwrap_err();
+        let err = omnet("generate nope x").unwrap_err();
         assert!(matches!(err, CliError::Domain(_)), "{err}");
         assert!(err.to_string().contains("unknown data set"));
     }
 
     #[test]
     fn missing_trace_is_an_io_error() {
-        let err = stats(&StatsArgs {
-            trace: "/definitely/not/a/real/file.trace".into(),
-        })
-        .unwrap_err();
+        let err = omnet("stats /definitely/not/a/real/file.trace").unwrap_err();
         assert!(matches!(err, CliError::Io { .. }), "{err}");
         assert_eq!(err.exit_code(), 5);
         assert!(err.to_string().contains("file.trace"));
@@ -908,17 +937,32 @@ mod tests {
 
     #[test]
     fn diameter_reports_value() {
-        let dir = tempdir();
-        let p = toy_trace_file(&dir);
-        let out = diameter(&DiameterArgs {
-            trace: p,
-            eps: 0.01,
-            max_hops: 6,
-            internal_only: false,
-        })
-        .unwrap();
+        let p = toy_trace_file(&tempdir());
+        let out = omnet(&format!("diameter {p} --max-hops 6")).unwrap();
         assert!(out.contains("-diameter"), "{out}");
         assert!(out.contains("diameter per delay"));
+        assert_eq!(
+            omnet(&format!("diameter {p} --internal-only --eps 0.01")).unwrap(),
+            out
+        );
+    }
+
+    /// The defaults `--eps 0.01` and `--max-hops 10`: a 12-node relay line
+    /// needs 11 hops, so the exact diameter exceeds the default cap.
+    #[test]
+    fn diameter_defaults_to_ten_hops() {
+        let p = tempdir().join("line.trace");
+        let rows: String = (0..11)
+            .map(|i| format!("{i} {} {} {}\n", i + 1, 10 * i, 10 * i + 5))
+            .collect();
+        std::fs::write(&p, rows).unwrap();
+        let p = p.display();
+        let out = omnet(&format!("diameter {p} --eps 0")).unwrap();
+        assert!(out.starts_with("(1-0)-diameter exceeds 10 hops"), "{out}");
+        assert_eq!(
+            omnet(&format!("diameter {p}")).unwrap(),
+            omnet(&format!("diameter {p} --eps 0.01 --max-hops 10")).unwrap()
+        );
     }
 
     /// A degenerate trace — no message creation time to draw — is a typed
@@ -926,23 +970,11 @@ mod tests {
     fn assert_empty_window_refused(text: &str) {
         let p = tempdir().join("degenerate.trace");
         std::fs::write(&p, text).unwrap();
-        let err = diameter(&DiameterArgs {
-            trace: p.clone(),
-            eps: 0.01,
-            max_hops: 6,
-            internal_only: false,
-        })
-        .unwrap_err();
+        let err = omnet(&format!("diameter {}", p.display())).unwrap_err();
         assert!(matches!(err, CliError::Domain(_)), "{err}");
         assert_eq!(err.exit_code(), 4);
         assert!(err.to_string().contains("window is empty"), "{err}");
-        let err = cdf(&CdfArgs {
-            trace: p,
-            hops: vec![1],
-            points: 5,
-            internal_only: false,
-        })
-        .unwrap_err();
+        let err = omnet(&format!("cdf {}", p.display())).unwrap_err();
         assert!(matches!(err, CliError::Domain(_)), "{err}");
     }
 
@@ -958,61 +990,35 @@ mod tests {
 
     #[test]
     fn cdf_renders_series() {
-        let dir = tempdir();
-        let p = toy_trace_file(&dir);
-        let out = cdf(&CdfArgs {
-            trace: p,
-            hops: vec![1, 2],
-            points: 5,
-            internal_only: false,
-        })
-        .unwrap();
-        assert!(out.contains("1hop"));
-        assert!(out.contains("flood"));
+        let p = toy_trace_file(&tempdir());
+        let out = omnet(&format!("cdf {p} --hops 1,3 --points 5")).unwrap();
+        assert!(out.contains("1hop") && out.contains("3hop") && out.contains("flood"));
+        assert!(!out.contains("2hop"), "{out}");
+        // Defaults: hop classes 1, 2, 4 over 16 grid points.
+        let out = omnet(&format!("cdf {p}")).unwrap();
+        assert!(out.contains("1hop") && out.contains("2hop") && out.contains("4hop"));
+        assert_eq!(
+            out,
+            omnet(&format!("cdf {p} --hops 1,2,4 --points 16")).unwrap()
+        );
     }
 
     #[test]
     fn path_prints_route() {
-        let dir = tempdir();
-        let p = toy_trace_file(&dir);
-        let out = path(&PathArgs {
-            trace: p.clone(),
-            src: 0,
-            dst: 3,
-            start: 0.0,
-        })
-        .unwrap();
+        let p = toy_trace_file(&tempdir());
+        let out = omnet(&format!("path {p} 0 3 0")).unwrap();
         assert!(out.contains("earliest arrival"));
         assert!(out.contains("hop  1: 0 -> 1"));
         // unreachable direction
-        let out = path(&PathArgs {
-            trace: p,
-            src: 3,
-            dst: 1,
-            start: 900.0,
-        })
-        .unwrap();
+        let out = omnet(&format!("path {p} 3 1 900")).unwrap();
         assert!(out.contains("no path"));
     }
 
     #[test]
     fn path_validates_ids() {
-        let dir = tempdir();
-        let p = toy_trace_file(&dir);
-        assert!(path(&PathArgs {
-            trace: p.clone(),
-            src: 9,
-            dst: 1,
-            start: 0.0
-        })
-        .is_err());
-        assert!(path(&PathArgs {
-            trace: p,
-            src: 1,
-            dst: 1,
-            start: 0.0
-        })
-        .is_err());
+        let p = toy_trace_file(&tempdir());
+        assert!(omnet(&format!("path {p} 9 1 0")).is_err());
+        assert!(omnet(&format!("path {p} 1 1 0")).is_err());
     }
 
     #[test]
@@ -1020,203 +1026,161 @@ mod tests {
         let dir = tempdir();
         let p = toy_trace_file(&dir);
         let out1 = dir.join("kept.trace");
-        let msg = prune(&PruneArgs {
-            trace: p.clone(),
-            output: out1.clone(),
-            keep: Some(1.0),
-            min_duration: None,
-            seed: 1,
-        })
-        .unwrap();
+        let msg = omnet(&format!("prune {p} {} --keep 1.0", out1.display())).unwrap();
         assert!(msg.contains("kept 5 of 5"));
         let out2 = dir.join("long.trace");
-        prune(&PruneArgs {
-            trace: p,
-            output: out2.clone(),
-            keep: None,
-            min_duration: Some(121.0),
-            seed: 1,
-        })
-        .unwrap();
+        omnet(&format!("prune {p} {} --min-duration 121", out2.display())).unwrap();
         let t = io::load(&out2).unwrap();
         assert_eq!(t.num_contacts(), 1); // only the 160 s contact exceeds 121 s
     }
 
     #[test]
     fn flood_lists_reached_nodes() {
-        let dir = tempdir();
-        let p = toy_trace_file(&dir);
-        let out = flood_cmd(&FloodArgs {
-            trace: p,
-            src: 0,
-            start: 0.0,
-            ttl: None,
-        })
-        .unwrap();
+        let p = toy_trace_file(&tempdir());
+        let out = omnet(&format!("flood {p} 0 0")).unwrap();
         assert!(out.contains("reached 4 of 4 nodes"), "{out}");
         assert!(out.contains("node"), "{out}");
         assert!(out.contains("hops"), "{out}");
+        let out = omnet(&format!("flood {p} 0 0 --ttl 1")).unwrap();
+        assert!(out.contains("(TTL 1): reached 3 of 4 nodes"), "{out}");
     }
 
     #[test]
     fn journeys_lists_pareto_routes() {
-        let dir = tempdir();
-        let p = toy_trace_file(&dir);
-        let out = journeys(&JourneysArgs {
-            trace: p,
-            src: 0,
-            dst: 3,
-        })
-        .unwrap();
+        let p = toy_trace_file(&tempdir());
+        let out = omnet(&format!("journeys {p} 0 3")).unwrap();
         assert!(out.contains("optimal journeys"), "{out}");
         assert!(out.contains("hops: 0 ->"));
     }
 
     #[test]
     fn simulate_reports_metrics() {
-        let dir = tempdir();
-        let p = toy_trace_file(&dir);
-        let out = simulate_cmd(&SimulateArgs {
-            trace: p.clone(),
-            messages: 10,
-            routing: "spray:4".into(),
-            buffer: 0,
-            ttl_hops: Some(4),
-            seed: 1,
-        })
+        let p = toy_trace_file(&tempdir());
+        let out = omnet(&format!(
+            "simulate {p} --messages 10 --routing spray:4 --ttl-hops 4 --seed 1"
+        ))
         .unwrap();
+        assert!(out.contains("routing:             spray:4"), "{out}");
         assert!(out.contains("delivered"), "{out}");
         assert!(out.contains("relay transmissions"));
+        // Defaults: 200 epidemic messages, unlimited buffers, seed 7.
+        let out = omnet(&format!("simulate {p}")).unwrap();
+        assert!(out.contains("routing:             epidemic"), "{out}");
+        assert!(out.contains("messages:            200"), "{out}");
+        assert_eq!(
+            out,
+            omnet(&format!("simulate {p} --messages 200 --buffer 0 --seed 7")).unwrap()
+        );
         // invalid routing rejected
-        assert!(simulate_cmd(&SimulateArgs {
-            trace: p,
-            messages: 1,
-            routing: "bogus".into(),
-            buffer: 0,
-            ttl_hops: None,
-            seed: 1,
-        })
-        .is_err());
+        assert!(omnet(&format!("simulate {p} --routing bogus")).is_err());
     }
 
     #[test]
     fn components_describes_snapshot() {
-        let dir = tempdir();
-        let p = toy_trace_file(&dir);
-        let out = components(&ComponentsArgs {
-            trace: p,
-            at: 110.0,
-        })
-        .unwrap();
+        let p = toy_trace_file(&tempdir());
+        let out = omnet(&format!("components {p} 110")).unwrap();
         assert!(out.contains("snapshot at"), "{out}");
         assert!(out.contains("component"));
     }
 
     #[test]
     fn delivery_reports_arrival_and_unreachable() {
-        let dir = tempdir();
-        let p = toy_trace_file(&dir);
-        let out = delivery(&DeliveryArgs {
-            trace: p.clone(),
-            src: 0,
-            dst: 3,
-            at: 0.0,
-            hops: None,
-        })
-        .unwrap();
+        let p = toy_trace_file(&tempdir());
+        let out = omnet(&format!("delivery {p} 0 3 0")).unwrap();
         assert!(out.contains("delivery 0 -> 3"), "{out}");
-        assert!(out.contains("arrives"), "{out}");
-        let out = delivery(&DeliveryArgs {
-            trace: p,
-            src: 3,
-            dst: 1,
-            at: 900.0,
-            hops: Some(1),
-        })
-        .unwrap();
-        assert!(out.contains("unreachable"), "{out}");
+        assert!(out.contains("(unlimited hops): arrives"), "{out}");
+        let out = omnet(&format!("delivery {p} 3 1 900 --hops 1")).unwrap();
+        assert!(out.contains("(1 hops): unreachable"), "{out}");
     }
 
-    fn precomputed_dir(trace: &Path, shards: u32) -> std::path::PathBuf {
-        let out = tempdir().join(format!(
-            "art-{shards}-{}",
-            std::time::SystemTime::now()
-                .duration_since(std::time::UNIX_EPOCH)
-                .unwrap()
-                .as_nanos()
-        ));
-        let msg = precompute(&PrecomputeArgs {
-            trace: trace.to_path_buf(),
-            outdir: out.clone(),
-            shards,
-            store_levels: None,
-            max_levels: None,
-            dataset_key: Some("toy".into()),
-        })
+    fn precomputed_dir(trace: &str, shards: u32) -> String {
+        let out = tempdir().join("art");
+        let msg = omnet(&format!(
+            "precompute {trace} {} --shards {shards} --dataset-key toy",
+            out.display()
+        ))
         .unwrap();
         assert!(msg.contains("precomputed 4 source rows"), "{msg}");
-        out
+        assert!(msg.contains(&format!("into {shards} shard(s)")), "{msg}");
+        out.display().to_string()
+    }
+
+    #[test]
+    fn precompute_defaults_to_one_shard_keyed_by_file_name() {
+        let p = toy_trace_file(&tempdir());
+        let out = tempdir().join("art");
+        let msg = omnet(&format!("precompute {p} {}", out.display())).unwrap();
+        assert!(msg.contains("into 1 shard(s)"), "{msg}");
+        let stats = omnet(&format!("query {} stats", out.display())).unwrap();
+        assert!(stats.contains("dataset:            toy.trace"), "{stats}");
+        let out = tempdir().join("art");
+        omnet(&format!(
+            "precompute {p} {} --store-levels 1",
+            out.display()
+        ))
+        .unwrap();
+        let stats = omnet(&format!("query {} stats", out.display())).unwrap();
+        assert!(stats.contains("stored hop classes: 1"), "{stats}");
     }
 
     #[test]
     fn precompute_then_query_matches_direct_commands() {
-        let dir = tempdir();
-        let p = toy_trace_file(&dir);
+        let p = toy_trace_file(&tempdir());
         let art = precomputed_dir(&p, 2);
-        let q = |tokens: &[&str], trace: Option<&Path>| {
-            query(&QueryArgs {
-                artifacts: art.clone(),
-                tokens: tokens.iter().map(|s| s.to_string()).collect(),
-                stdin: false,
-                trace: trace.map(Path::to_path_buf),
-                remote: None,
-            })
-            .unwrap()
-        };
+        let q = |tail: &str| omnet(&format!("query {art} {tail}")).unwrap();
+        let direct = |cmd: &str| omnet(cmd).unwrap();
         // Diameter answered from artifacts must equal the direct command.
-        let direct = diameter(&DiameterArgs {
-            trace: p.clone(),
-            eps: 0.01,
-            max_hops: 6,
-            internal_only: false,
-        })
-        .unwrap();
-        assert_eq!(q(&["diameter", "0.01", "6"], None), direct);
+        assert_eq!(
+            q("diameter 0.01 6"),
+            direct(&format!("diameter {p} --eps 0.01 --max-hops 6"))
+        );
         // Delivery likewise.
-        let direct = delivery(&DeliveryArgs {
-            trace: p.clone(),
-            src: 0,
-            dst: 3,
-            at: 0.0,
-            hops: Some(2),
-        })
-        .unwrap();
-        assert_eq!(q(&["delivery", "0", "3", "0", "2"], None), direct);
+        assert_eq!(
+            q("delivery 0 3 0 2"),
+            direct(&format!("delivery {p} 0 3 0 --hops 2"))
+        );
         // Path with the trace attached reproduces the route byte-for-byte.
-        let direct = path(&PathArgs {
-            trace: p.clone(),
-            src: 0,
-            dst: 3,
-            start: 0.0,
-        })
-        .unwrap();
-        assert_eq!(q(&["path", "0", "3", "0"], Some(&p)), direct);
+        assert_eq!(
+            q(&format!("path 0 3 0 --trace {p}")),
+            direct(&format!("path {p} 0 3 0"))
+        );
         // Without the trace the same arrival is reported, route omitted.
-        let routeless = q(&["path", "0", "3", "0"], None);
+        let routeless = q("path 0 3 0");
         assert!(routeless.contains("earliest arrival"), "{routeless}");
         assert!(!routeless.contains("via contact"), "{routeless}");
         // Stats describes the loaded set.
-        let stats = q(&["stats"], None);
+        let stats = q("stats");
         assert!(stats.contains("dataset:            toy"), "{stats}");
         assert!(stats.contains("shards loaded:      2"), "{stats}");
     }
 
+    /// `--remote` answers through a live server, rendered like the local
+    /// load: the first positional is the served dataset's name.
+    #[test]
+    fn remote_query_matches_local() {
+        let p = toy_trace_file(&tempdir());
+        let art = precomputed_dir(&p, 2);
+        let engine = Engine::load_dir(Path::new(&art)).unwrap();
+        let server = Server::bind("127.0.0.1:0", vec![("toy".into(), engine)]).unwrap();
+        let addr = server.local_addr().unwrap();
+        let handle = server.handle();
+        let running = std::thread::spawn(move || server.run().unwrap());
+        // `stats` first: it reports what the served engine has materialized.
+        for q in ["stats", "delivery 0 3 0 2", "diameter 0.01 6", "path 0 3 0"] {
+            let remote = omnet(&format!("query toy {q} --remote {addr}")).unwrap();
+            assert_eq!(remote, omnet(&format!("query {art} {q}")).unwrap(), "{q}");
+        }
+        let err = omnet(&format!("query toy delivery 0 99 0 --remote {addr}")).unwrap_err();
+        assert!(matches!(err, CliError::Domain(_)), "{err}");
+        handle.shutdown();
+        running.join().unwrap();
+    }
+
     #[test]
     fn query_batch_preserves_order_and_survives_bad_lines() {
-        let dir = tempdir();
-        let p = toy_trace_file(&dir);
+        let p = toy_trace_file(&tempdir());
         let art = precomputed_dir(&p, 3);
-        let engine = Engine::load_dir(&art).unwrap();
+        let engine = Engine::load_dir(Path::new(&art)).unwrap();
         let out = query_batch(
             &engine,
             "# header comment\n\
@@ -1238,40 +1202,35 @@ mod tests {
         let dir = tempdir();
         let p = toy_trace_file(&dir);
         let art = precomputed_dir(&p, 1);
-        let err = query(&QueryArgs {
-            artifacts: art.clone(),
-            tokens: vec![],
-            stdin: false,
-            trace: None,
-            remote: None,
-        })
-        .unwrap_err();
-        assert!(matches!(err, CliError::Usage(_)), "{err}");
-        let err = query(&QueryArgs {
-            artifacts: art,
-            tokens: vec!["frobnicate".into()],
-            stdin: false,
-            trace: None,
-            remote: None,
-        })
-        .unwrap_err();
+        for (args, conflict) in [
+            (format!("query {art}"), "expected a query"),
+            (format!("query {art} stats --stdin"), "mutually exclusive"),
+            (
+                format!("query toy stats --remote 127.0.0.1:1 --trace {p}"),
+                "local-load option",
+            ),
+            (
+                "query toy --remote 127.0.0.1:1".to_string(),
+                "expected a query",
+            ),
+        ] {
+            let err = omnet(&args).unwrap_err();
+            assert!(
+                matches!(&err, CliError::Conflict(m) if m.contains(conflict)),
+                "{args}: {err}"
+            );
+        }
+        let err = omnet(&format!("query {art} frobnicate")).unwrap_err();
         assert!(matches!(err, CliError::Parse(_)), "{err}");
         // A missing artifact directory is an I/O error (exit 5), not a panic.
-        let err = query(&QueryArgs {
-            artifacts: dir.join("no-such-artifacts"),
-            tokens: vec!["stats".into()],
-            stdin: false,
-            trace: None,
-            remote: None,
-        })
-        .unwrap_err();
+        let missing = dir.join("no-such-artifacts");
+        let err = omnet(&format!("query {} stats", missing.display())).unwrap_err();
         assert!(matches!(err, CliError::Io { .. }), "{err}");
     }
 
     #[test]
     fn corrupted_artifact_is_a_typed_cli_error() {
-        let dir = tempdir();
-        let p = toy_trace_file(&dir);
+        let p = toy_trace_file(&tempdir());
         let art = precomputed_dir(&p, 1);
         let shard = std::fs::read_dir(&art)
             .unwrap()
@@ -1286,14 +1245,7 @@ mod tests {
         // Shard verification is deferred to first row access, so query a
         // row: the corruption is rejected either at load (header damage)
         // or on that first access (ROWS damage) — never answered from.
-        let err = query(&QueryArgs {
-            artifacts: art,
-            tokens: vec!["delivery".into(), "0".into(), "3".into(), "0".into()],
-            stdin: false,
-            trace: None,
-            remote: None,
-        })
-        .unwrap_err();
+        let err = omnet(&format!("query {art} delivery 0 3 0")).unwrap_err();
         assert!(matches!(err, CliError::Domain(_)), "{err}");
         let msg = err.to_string();
         assert!(
@@ -1303,10 +1255,34 @@ mod tests {
     }
 
     #[test]
-    fn run_dispatches() {
-        let dir = tempdir();
-        let p = toy_trace_file(&dir);
-        let out = crate::run(Command::Stats(StatsArgs { trace: p })).unwrap();
-        assert!(out.contains("devices"));
+    fn serve_rejects_bad_bindings_before_loading() {
+        for (args, msg) in [
+            ("serve 127.0.0.1:0", "at least one dataset"),
+            ("serve 127.0.0.1:0 reality", "dataset binding 'reality'"),
+            ("serve 127.0.0.1:0 =shards", "dataset binding '=shards'"),
+            ("serve 127.0.0.1:0 reality=", "dataset binding 'reality='"),
+            (
+                "serve 127.0.0.1:0 r=shards --trace t",
+                "--trace binding 't'",
+            ),
+            (
+                "serve 127.0.0.1:0 r=shards --trace t=",
+                "--trace binding 't='",
+            ),
+            (
+                "serve 127.0.0.1:0 r=shards --trace =t.trace",
+                "--trace binding '=t.trace'",
+            ),
+        ] {
+            let err = omnet(args).unwrap_err();
+            assert!(
+                matches!(&err, CliError::Usage(m) if m.contains(msg)),
+                "{args}: {err}"
+            );
+        }
+        // Well-formed bindings reach the loader: the missing directory is
+        // the first error.
+        let err = omnet("serve 127.0.0.1:0 r=/no/such/shards --trace t=/no/t").unwrap_err();
+        assert!(matches!(err, CliError::Io { .. }), "{err}");
     }
 }

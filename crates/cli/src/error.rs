@@ -1,7 +1,7 @@
 //! Typed errors for the `omnet` tool.
 //!
-//! Every fallible layer of the CLI reports through [`CliError`], whose four
-//! variants map one-to-one onto distinct process exit codes (see
+//! Every fallible layer of the CLI reports through [`CliError`], whose
+//! variants map onto four distinct process exit codes (see
 //! [`CliError::exit_code`]), so scripts driving `omnet` can distinguish "you
 //! called me wrong" from "your file is unreadable" from "the computation
 //! rejected the request" without scraping stderr.
@@ -18,6 +18,11 @@ pub enum CliError {
     /// a flag missing its value, or mutually exclusive flags combined.
     /// Printed together with the usage text; exit code 2.
     Usage(String),
+    /// A well-shaped argv whose arguments the command refuses together:
+    /// both or neither of `--stdin` and an inline query, `--trace` with
+    /// `--remote`, a dataset bound twice. Exit code 2, like
+    /// [`CliError::Usage`], but without the usage text.
+    Conflict(String),
     /// An individual argument value failed to parse (non-numeric id, bad
     /// `--hops` list, malformed routing spec). Exit code 3.
     Parse(String),
@@ -42,6 +47,11 @@ impl CliError {
         CliError::Usage(msg.into())
     }
 
+    /// Shorthand for [`CliError::Conflict`].
+    pub fn conflict(msg: impl Into<String>) -> CliError {
+        CliError::Conflict(msg.into())
+    }
+
     /// Shorthand for [`CliError::Parse`].
     pub fn parse(msg: impl Into<String>) -> CliError {
         CliError::Parse(msg.into())
@@ -61,11 +71,12 @@ impl CliError {
         }
     }
 
-    /// The process exit code this error maps to: usage 2, parse 3, domain 4,
-    /// i/o 5 (0 is success, 1 is reserved for panics/aborts).
+    /// The process exit code this error maps to: usage and conflict 2,
+    /// parse 3, domain 4, i/o 5 (0 is success, 1 is reserved for
+    /// panics/aborts).
     pub fn exit_code(&self) -> i32 {
         match self {
-            CliError::Usage(_) => 2,
+            CliError::Usage(_) | CliError::Conflict(_) => 2,
             CliError::Parse(_) => 3,
             CliError::Domain(_) => 4,
             CliError::Io { .. } => 5,
@@ -81,7 +92,10 @@ impl CliError {
 impl fmt::Display for CliError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            CliError::Usage(m) | CliError::Parse(m) | CliError::Domain(m) => f.write_str(m),
+            CliError::Usage(m)
+            | CliError::Conflict(m)
+            | CliError::Parse(m)
+            | CliError::Domain(m) => f.write_str(m),
             CliError::Io {
                 context,
                 path,
@@ -157,6 +171,8 @@ mod tests {
     #[test]
     fn only_usage_errors_reprint_usage() {
         assert!(CliError::usage("u").print_usage());
+        assert!(!CliError::conflict("c").print_usage());
+        assert_eq!(CliError::conflict("c").exit_code(), 2);
         assert!(!CliError::parse("p").print_usage());
         assert!(!CliError::domain("d").print_usage());
     }

@@ -1,60 +1,20 @@
 //! Implementation of the `omnet` command-line tool.
 //!
-//! Every subcommand is a pure function from parsed arguments to a rendered
+//! Every subcommand is a pure function from its arguments to a rendered
 //! string (plus optional trace output), so the whole tool is unit-testable
-//! without spawning processes; `main.rs` is a thin argv shim.
-//!
-//! ```text
-//! omnet stats     <trace>                       data-set characteristics (Table-1 style)
-//! omnet convert   <in> <out>                    lenient import -> canonical format
-//! omnet generate  <dataset> <out> [...]         synthetic data sets
-//! omnet diameter  <trace> [...]                 success curves + (1-eps)-diameter
-//! omnet cdf       <trace> [...]                 delay CDF series per hop class
-//! omnet path      <trace> <src> <dst> <t>       earliest-arrival route for one query
-//! omnet prune     <trace> <out> [...]           random / duration-based contact removal
-//! omnet flood     <trace> <src> <t> [--ttl K]   epidemic reach from one query
-//! omnet journeys  <trace> <src> <dst>           every delay-optimal route of a pair
-//! omnet simulate  <trace> [...]                 buffered multi-message DTN simulation
-//! omnet components <trace> <t>                  contemporaneous connectivity snapshot
-//! omnet check     <trace> [--oracle]            structural invariants + differential oracles
-//! omnet delivery  <trace> <src> <dst> <t>       earliest delivery under a hop budget
-//! omnet precompute <trace> <outdir> [...]       trace -> sharded profile artifacts
-//! omnet query     <artifacts> [...]             typed queries over persisted artifacts
-//! omnet serve     <addr> <name>=<artifacts>...  serve datasets over TCP (wire protocol)
-//! ```
+//! without spawning processes; `main.rs` is a thin argv shim. The grammar
+//! is [`USAGE`] for people and [`SUBCOMMANDS`] for the parser.
 
 #![forbid(unsafe_code)]
-#![warn(missing_docs)]
+#![deny(missing_docs)]
 
 pub mod args;
 pub mod commands;
 pub mod error;
 pub mod render;
 
-pub use args::{parse, Command, ParsedArgs};
+pub use args::{run, Args, Subcommand, SUBCOMMANDS};
 pub use error::CliError;
-
-/// Executes a parsed command, returning the text to print.
-pub fn run(cmd: Command) -> Result<String, CliError> {
-    match cmd {
-        Command::Stats(a) => commands::stats(&a),
-        Command::Convert(a) => commands::convert(&a),
-        Command::Generate(a) => commands::generate(&a),
-        Command::Diameter(a) => commands::diameter(&a),
-        Command::Cdf(a) => commands::cdf(&a),
-        Command::Path(a) => commands::path(&a),
-        Command::Prune(a) => commands::prune(&a),
-        Command::Flood(a) => commands::flood_cmd(&a),
-        Command::Journeys(a) => commands::journeys(&a),
-        Command::Simulate(a) => commands::simulate_cmd(&a),
-        Command::Components(a) => commands::components(&a),
-        Command::Check(a) => commands::check(&a),
-        Command::Delivery(a) => commands::delivery(&a),
-        Command::Precompute(a) => commands::precompute(&a),
-        Command::Query(a) => commands::query(&a),
-        Command::Serve(a) => commands::serve(&a),
-    }
-}
 
 /// The usage text.
 pub const USAGE: &str = "\

@@ -16,8 +16,12 @@ fn main() {
         std::process::exit(2);
     }
     let argv: Vec<String> = std::env::args().skip(1).collect();
-    let code = match omnet_cli::parse(&argv) {
-        Ok(omnet_cli::ParsedArgs::Help) => {
+    let code = match omnet_cli::run(&argv) {
+        Ok(Some(output)) => {
+            print!("{output}");
+            0
+        }
+        Ok(None) => {
             eprint!("{}", omnet_cli::USAGE);
             if argv.is_empty() {
                 2
@@ -25,16 +29,6 @@ fn main() {
                 0
             }
         }
-        Ok(omnet_cli::ParsedArgs::Run(cmd)) => match omnet_cli::run(cmd) {
-            Ok(output) => {
-                print!("{output}");
-                0
-            }
-            Err(e) => {
-                eprintln!("error: {e}");
-                e.exit_code()
-            }
-        },
         Err(e) => {
             eprintln!("error: {e}");
             if e.print_usage() {

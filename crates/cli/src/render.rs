@@ -5,7 +5,9 @@
 //! through the typed query API must not change what scripts see.
 
 use omnet_core::HopBound;
-use omnet_serve::{DeliveryAnswer, DiameterAnswer, PathAnswer, QueryResponse, StatsAnswer};
+use omnet_serve::{
+    DeliveryAnswer, DiameterAnswer, PathAnswer, QueryError, QueryResponse, StatsAnswer,
+};
 use std::fmt::Write as _;
 
 /// Renders any query response.
@@ -17,6 +19,21 @@ pub fn response(r: &QueryResponse) -> String {
         QueryResponse::Stats(a) => stats_answer(a),
         _ => String::new(),
     }
+}
+
+/// Renders batch results in order, each failure as an inline `error: …`
+/// line (the local `--stdin` batch and its `--remote` twin).
+pub fn results(results: impl IntoIterator<Item = Result<QueryResponse, QueryError>>) -> String {
+    let mut out = String::new();
+    for r in results {
+        match r {
+            Ok(resp) => out.push_str(&response(&resp)),
+            Err(e) => {
+                let _ = writeln!(out, "error: {e}");
+            }
+        }
+    }
+    out
 }
 
 /// Renders a delivery answer as one line.

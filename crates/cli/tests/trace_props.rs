@@ -1,0 +1,151 @@
+//! Hostile trace files: whatever bytes a trace file holds, every `omnet`
+//! subcommand that reads one returns its output or a typed [`CliError`] —
+//! it never panics.
+//!
+//! Uniformly random bytes almost never get past the row parser, so a
+//! second generator writes line soup from the trace grammar: headers and
+//! rows whose fields are drawn from edge values (out-of-range ids, NaN and
+//! infinite times, inverted intervals, headers that contradict the rows).
+
+use omnet_cli::{CliError, SUBCOMMANDS};
+use proptest::prelude::*;
+use std::path::PathBuf;
+
+/// One invocation per subcommand that reads a trace; `{t}` is the trace
+/// file and `{o}` an output path. Flags keep every run small.
+const INVOCATIONS: &[&str] = &[
+    "stats {t}",
+    "convert {t} {o}",
+    "diameter {t} --max-hops 4",
+    "cdf {t} --points 4",
+    "path {t} 0 1 0",
+    "prune {t} {o} --keep 0.5",
+    "prune {t} {o} --min-duration 1",
+    "flood {t} 0 0",
+    "journeys {t} 0 1",
+    "simulate {t} --messages 5",
+    "components {t} 1",
+    "check {t} --oracle --starts 2",
+    "delivery {t} 0 1 0 --hops 2",
+    "precompute {t} {o}",
+];
+
+/// The subcommands whose first positional is not a trace file.
+const NO_TRACE: &[&str] = &["generate", "query", "serve"];
+
+const IDS: &[&str] = &["0", "1", "2", "3", "4", "5"];
+const BAD_IDS: &[&str] = &["-1", "0.5", "4294967295", "x", ""];
+/// Ascending, so a row drawing `s <= e` indices is a valid interval.
+const TIMES: &[&str] = &["0", "0.5", "1", "60", "120", "500", "1000", "1e9"];
+const BAD_TIMES: &[&str] = &["-5", "-0", "nan", "inf", "-inf", "1e400", "x"];
+const COUNTS: &[&str] = &["0", "1", "2", "4", "6", "-1", "x", ""];
+
+fn any_byte() -> impl Strategy<Value = u8> {
+    (0u16..256).prop_map(|b| b as u8)
+}
+
+/// `good[i]`, or an edge value when `roll` is 0 (one field in 16).
+fn field(good: &[&'static str], bad: &[&'static str], i: usize, roll: u8) -> &'static str {
+    if roll == 0 {
+        bad[i % bad.len()]
+    } else {
+        good[i % good.len()]
+    }
+}
+
+/// One line of a trace file: mostly well-formed rows, sometimes a header,
+/// any field sometimes swapped for an edge value.
+fn line() -> impl Strategy<Value = String> {
+    let rolls = (0u8..16, 0u8..16, 0u8..16, 0u8..16);
+    (
+        0u8..10,
+        0usize..6,
+        0usize..6,
+        0..TIMES.len(),
+        0..TIMES.len(),
+        rolls,
+    )
+        .prop_map(|(kind, a, b, s, e, (ra, rb, rs, re))| {
+            let (s, e) = (s.min(e), s.max(e));
+            let (s, e) = (
+                field(TIMES, BAD_TIMES, s, rs),
+                field(TIMES, BAD_TIMES, e, re),
+            );
+            match kind {
+                0 => format!("# nodes {}", COUNTS[(a + b) % COUNTS.len()]),
+                1 => format!("# internal {}", COUNTS[(a + b) % COUNTS.len()]),
+                2 => format!("# window {s} {e}"),
+                // Self-contacts only from the edge roll, not one row in six.
+                _ => {
+                    let b = if a == b && rb != 1 { a + 1 } else { b };
+                    format!(
+                        "{} {} {s} {e}",
+                        field(IDS, BAD_IDS, a, ra),
+                        field(IDS, BAD_IDS, b, rb)
+                    )
+                }
+            }
+        })
+}
+
+fn trace_soup() -> impl Strategy<Value = Vec<u8>> {
+    prop::collection::vec(line(), 0..12).prop_map(|lines| (lines.join("\n") + "\n").into_bytes())
+}
+
+/// A fresh directory per case: cases must not see each other's outputs.
+fn case_dir() -> PathBuf {
+    static NEXT: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
+    let n = NEXT.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+    let dir = std::env::temp_dir().join(format!("omnet-trace-props-{}-{n}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    std::fs::create_dir_all(&dir).unwrap();
+    dir
+}
+
+/// Writes `bytes` as a trace and runs every invocation on it.
+fn run_all(bytes: &[u8]) -> Result<(), TestCaseError> {
+    let dir = case_dir();
+    let trace = dir.join("hostile.trace");
+    std::fs::write(&trace, bytes).unwrap();
+    for (i, invocation) in INVOCATIONS.iter().enumerate() {
+        let argv: Vec<String> = invocation
+            .replace("{t}", &trace.display().to_string())
+            .replace("{o}", &dir.join(format!("out{i}")).display().to_string())
+            .split_whitespace()
+            .map(String::from)
+            .collect();
+        let result: std::thread::Result<Result<_, CliError>> =
+            std::panic::catch_unwind(|| omnet_cli::run(&argv));
+        prop_assert!(
+            result.is_ok(),
+            "`omnet {invocation}` panicked on trace {:?}",
+            String::from_utf8_lossy(bytes)
+        );
+    }
+    std::fs::remove_dir_all(&dir).ok();
+    Ok(())
+}
+
+#[test]
+fn invocations_cover_every_trace_reading_subcommand() {
+    for s in SUBCOMMANDS {
+        let covered = INVOCATIONS
+            .iter()
+            .any(|i| i.split_whitespace().next() == Some(s.name));
+        assert_eq!(covered, !NO_TRACE.contains(&s.name), "{}", s.name);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn arbitrary_bytes_never_panic(bytes in prop::collection::vec(any_byte(), 0..200)) {
+        run_all(&bytes)?;
+    }
+
+    #[test]
+    fn trace_soup_never_panics(bytes in trace_soup()) {
+        run_all(&bytes)?;
+    }
+}

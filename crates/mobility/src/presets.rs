@@ -141,14 +141,28 @@ impl Dataset {
 
     /// A shortened variant (first `days` days, targets scaled down
     /// proportionally) for quick experiments and tests.
+    ///
+    /// Panics unless [`Dataset::accepts_days`] holds for `days`.
     pub fn generate_days(self, days: f64, seed: u64) -> Trace {
+        assert!(self.accepts_days(days), "days exceed the data set span");
         let mut spec = self.spec();
-        let scale = (days * 86_400.0) / spec.duration.as_secs();
-        assert!(scale > 0.0 && scale <= 1.0, "days exceed the data set span");
+        let scale = self.days_scale(days);
         spec.duration = Dur::days(days);
         spec.target_internal_contacts *= scale;
         spec.target_external_contacts *= scale;
         spec.generate(seed)
+    }
+
+    /// True when `days` covers a positive part of the data set's span and
+    /// no more than all of it: the lengths [`Dataset::generate_days`] takes.
+    pub fn accepts_days(self, days: f64) -> bool {
+        let scale = self.days_scale(days);
+        scale > 0.0 && scale <= 1.0
+    }
+
+    /// The fraction of the data set's span that `days` covers.
+    fn days_scale(self, days: f64) -> f64 {
+        (days * 86_400.0) / self.spec().duration.as_secs()
     }
 }
 
@@ -205,6 +219,17 @@ mod tests {
             (got - target).abs() < 0.3 * target,
             "contacts {got} vs {target}"
         );
+    }
+
+    #[test]
+    fn accepts_days_within_the_span() {
+        for days in [1e-3, 1.5, 3.0] {
+            assert!(Dataset::Infocom05.accepts_days(days), "{days}");
+        }
+        for days in [0.0, -1.0, 3.0001, f64::INFINITY, f64::NAN, 5e-324] {
+            assert!(!Dataset::Infocom05.accepts_days(days), "{days}");
+        }
+        assert!(Dataset::RealityMining.accepts_days(100.0));
     }
 
     #[test]

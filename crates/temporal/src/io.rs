@@ -16,7 +16,7 @@
 //! from the contacts, exactly as [`crate::trace::TraceBuilder`] would.
 
 use crate::contact::{Contact, Interval};
-use crate::trace::{Trace, TraceBuilder};
+use crate::trace::{BuildError, Trace, TraceBuilder};
 use std::fmt::Write as _;
 use std::io::{BufRead, BufReader, Read};
 use std::path::{Path, PathBuf};
@@ -110,7 +110,10 @@ pub fn from_reader<R: Read>(reader: R) -> Result<Trace, IoError> {
     let mut builder = TraceBuilder::new();
     let mut window: Option<Interval> = None;
     let mut nodes: Option<u32> = None;
-    let mut internal: Option<u32> = None;
+    let mut internal: Option<(u32, usize)> = None;
+    // The line of each contact, in push order: headers may follow the rows,
+    // so the rows are checked against them once everything is read.
+    let mut lines = Vec::new();
     for (idx, line) in reader.lines().enumerate() {
         let line = line?;
         let lineno = idx + 1;
@@ -125,7 +128,7 @@ pub fn from_reader<R: Read>(reader: R) -> Result<Trace, IoError> {
                     nodes = Some(parse_field(it.next(), lineno, "node count")?);
                 }
                 Some("internal") => {
-                    internal = Some(parse_field(it.next(), lineno, "internal count")?);
+                    internal = Some((parse_field(it.next(), lineno, "internal count")?, lineno));
                 }
                 Some("window") => {
                     let lo: f64 = parse_field(it.next(), lineno, "window start")?;
@@ -160,17 +163,28 @@ pub fn from_reader<R: Read>(reader: R) -> Result<Trace, IoError> {
             return Err(syntax(lineno, "invalid contact interval"));
         }
         builder.push(Contact::secs(a, b, s, e));
+        lines.push(lineno);
     }
     if let Some(n) = nodes {
         builder = builder.num_nodes(n);
     }
-    if let Some(i) = internal {
+    if let Some((i, _)) = internal {
         builder = builder.internal(i);
     }
     if let Some(w) = window {
         builder = builder.window(w);
     }
-    Ok(builder.build())
+    builder.try_build().map_err(|broken| match broken {
+        BuildError::NodeOutsideUniverse(i) if nodes.is_some() => {
+            syntax(lines[i], "node id not below the `# nodes` count")
+        }
+        BuildError::NodeOutsideUniverse(i) => syntax(lines[i], "node id too large"),
+        BuildError::OutsideWindow(i) => syntax(lines[i], "contact outside the `# window`"),
+        BuildError::InternalExceedsNodes => syntax(
+            internal.map_or(0, |(_, line)| line),
+            "internal count exceeds the node count",
+        ),
+    })
 }
 
 /// Parses a trace from a string (§2 contact-trace format).
@@ -336,6 +350,37 @@ mod tests {
         assert!(err.to_string().contains("invalid contact interval"));
         let err = from_str("0 1 abc 1\n").unwrap_err();
         assert!(err.to_string().contains("start time"));
+        // Rows and headers that contradict each other, in either order.
+        for (text, line, message) in [
+            ("# nodes 2\n0 5 0 1\n", 2, "`# nodes` count"),
+            ("0 1 0 1\n1 2 0 1\n# nodes 2\n", 2, "`# nodes` count"),
+            ("0 4294967295 0 1\n", 1, "node id too large"),
+            ("# nodes 2\n# internal 9\n", 2, "internal count exceeds"),
+            ("# internal 3\n0 1 0 1\n", 1, "internal count exceeds"),
+            (
+                "# window 0 10\n0 1 5 10\n0 1 20 30\n",
+                3,
+                "outside the `# window`",
+            ),
+            ("0 1 -5 1\n# window 0 10\n", 1, "outside the `# window`"),
+        ] {
+            match from_str(text).unwrap_err() {
+                IoError::Syntax {
+                    line: l,
+                    message: m,
+                } => {
+                    assert_eq!(l, line, "{text}");
+                    assert!(m.contains(message), "{text}: {m}");
+                }
+                other => panic!("{text}: unexpected error: {other}"),
+            }
+        }
+        assert_eq!(
+            from_str("# nodes 3\n# internal 3\n0 2 0 1\n")
+                .unwrap()
+                .num_nodes(),
+            3
+        );
         for header in ["# window 0 inf\n", "# window nan 1\n"] {
             let err = from_str(header).unwrap_err();
             assert!(

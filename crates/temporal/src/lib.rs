@@ -52,4 +52,4 @@ pub use node::NodeId;
 pub use overlay::{ContactKey, TraceOverlay};
 pub use sequence::{ContactSeq, LdEa};
 pub use time::{Dur, Time};
-pub use trace::{Adjacency, Trace, TraceBuilder};
+pub use trace::{Adjacency, BuildError, Trace, TraceBuilder};

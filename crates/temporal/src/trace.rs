@@ -260,15 +260,46 @@ impl TraceBuilder {
     /// Finalizes the trace.
     ///
     /// Panics if a fixed node-universe size or window is violated, or if the
-    /// internal split exceeds the universe.
+    /// internal split exceeds the universe; [`TraceBuilder::try_build`]
+    /// reports these instead.
     pub fn build(mut self) -> Trace {
+        let (num_nodes, span, internal) = self.shape();
         if self.merge_overlaps {
             self.contacts = merge_same_pair_overlaps(self.contacts);
         }
+        Trace::from_parts(num_nodes, self.contacts, span, internal)
+    }
+
+    /// Finalizes the trace, or names the first §3 trace-model rule the
+    /// inputs break: a contact outside the node universe (a fixed count,
+    /// or `u32::MAX` when the count is inferred as `max id + 1`), a contact
+    /// outside a fixed window, or an internal split above the universe.
+    pub fn try_build(self) -> Result<Trace, BuildError> {
+        let (num_nodes, span, internal) = self.shape();
+        let contacts = &self.contacts;
+        if let Some(i) = contacts.iter().position(|c| c.b.0 >= num_nodes) {
+            return Err(BuildError::NodeOutsideUniverse(i));
+        }
+        if let Some(i) = contacts
+            .iter()
+            .position(|c| c.start() < span.start || c.end() > span.end)
+        {
+            return Err(BuildError::OutsideWindow(i));
+        }
+        if internal > num_nodes {
+            return Err(BuildError::InternalExceedsNodes);
+        }
+        Ok(self.build())
+    }
+
+    /// The node count, window and internal split the trace will have:
+    /// the fixed ones, or those inferred from the contacts.
+    fn shape(&self) -> (u32, Interval, u32) {
         let max_id = self.contacts.iter().map(|c| c.b.0).max();
         let num_nodes = match (self.num_nodes, max_id) {
             (Some(n), _) => n,
-            (None, Some(m)) => m + 1,
+            // Saturating, so a contact naming `u32::MAX` lies outside.
+            (None, Some(m)) => m.saturating_add(1),
             (None, None) => 0,
         };
         let span = match self.window {
@@ -289,9 +320,20 @@ impl TraceBuilder {
                 Interval::new(lo, hi)
             }
         };
-        let internal = self.internal.unwrap_or(num_nodes);
-        Trace::from_parts(num_nodes, self.contacts, span, internal)
+        (num_nodes, span, self.internal.unwrap_or(num_nodes))
     }
+}
+
+/// The §3 trace-model rule a [`TraceBuilder`]'s inputs break; a contact is
+/// named by its index in the order the contacts were added.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum BuildError {
+    /// This contact names a node outside the node universe.
+    NodeOutsideUniverse(usize),
+    /// This contact lies outside the fixed observation window.
+    OutsideWindow(usize),
+    /// The internal split exceeds the node universe.
+    InternalExceedsNodes,
 }
 
 /// Merges overlapping or touching contacts of the same pair.
@@ -429,6 +471,47 @@ mod tests {
             .num_nodes(2)
             .contact_secs(0, 5, 0.0, 1.0)
             .build();
+    }
+
+    #[test]
+    fn try_build_names_the_first_broken_rule() {
+        let fixed = || {
+            TraceBuilder::new()
+                .num_nodes(3)
+                .window(Interval::secs(0.0, 10.0))
+                .contact_secs(0, 1, 0.0, 1.0)
+        };
+        let err = |b: TraceBuilder| b.try_build().unwrap_err();
+        assert_eq!(
+            err(fixed()
+                .contact_secs(0, 3, 0.0, 1.0)
+                .contact_secs(0, 4, 0.0, 1.0)),
+            BuildError::NodeOutsideUniverse(1)
+        );
+        assert_eq!(
+            err(TraceBuilder::new().contact_secs(0, u32::MAX, 0.0, 1.0)),
+            BuildError::NodeOutsideUniverse(0)
+        );
+        assert_eq!(
+            err(fixed().contact_secs(0, 2, 5.0, 11.0)),
+            BuildError::OutsideWindow(1)
+        );
+        assert_eq!(
+            err(fixed().contact_secs(1, 2, -1.0, 1.0)),
+            BuildError::OutsideWindow(1)
+        );
+        assert_eq!(err(fixed().internal(4)), BuildError::InternalExceedsNodes);
+        // Merging happens after the check, so indices are in push order.
+        assert_eq!(
+            err(fixed()
+                .merge_overlaps(true)
+                .contact_secs(0, 1, 0.5, 2.0)
+                .contact_secs(1, 2, 9.0, 12.0)),
+            BuildError::OutsideWindow(2)
+        );
+        let t = fixed().internal(3).try_build().unwrap();
+        assert_eq!((t.num_nodes(), t.num_internal()), (3, 3));
+        assert_eq!(t.span(), Interval::secs(0.0, 10.0));
     }
 
     #[test]

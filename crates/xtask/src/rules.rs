@@ -1,11 +1,12 @@
 //! The lint rules.
 //!
 //! Each rule walks the library crates' sources and reports violations as
-//! `(rule, file, line, message)`. Test modules (`#[cfg(test)]`), `tests/`,
-//! `benches/`, the CLI, the bench harness, xtask itself and the vendored
-//! dependency stubs are all out of scope — the rules guard *library* code,
-//! where a panic aborts a caller and a raw float comparison silently breaks
-//! the `Time` ordering contract.
+//! `(rule, file, line, message)`. The CLI is in scope, since every input it
+//! reads comes from a user. Test modules (`#[cfg(test)]`), `tests/`,
+//! `benches/`, the bench harness, xtask itself and the vendored dependency
+//! stubs are out of scope — the rules guard code where a panic aborts a
+//! caller and a raw float comparison silently breaks the `Time` ordering
+//! contract.
 
 use crate::lexer;
 use std::fmt;
@@ -14,6 +15,7 @@ use std::path::{Path, PathBuf};
 /// The library crates whose sources are linted.
 pub const LIB_CRATES: &[&str] = &[
     "temporal", "core", "random", "mobility", "flooding", "analysis", "obs", "artifact", "serve",
+    "cli",
 ];
 
 /// Crates whose public items must cite a paper section (`§`) in docs.
