@@ -7,24 +7,16 @@
 //! stays small; the multi-hop improvement migrates from small to large
 //! timescales as the contact rate drops.
 //!
-//! The sweep is routed through the incremental engine
-//! (`omnet_core::incremental`): the substrate's profile rows are built
-//! **once**, and each removal draw is applied as a delta that recomputes
-//! only the rows whose dependency sets intersect the removed contacts. At
-//! these coarse keep levels (10 %, 1 %) nearly every row depends on a
-//! removed contact, so the win here is the shared base build and the
-//! exactness demonstration — the output stays byte-identical to the batch
-//! rebuild-per-level path (pinned by a test below); the fine-grained sweep
-//! where partial invalidation pays off is `benches/incremental.rs`.
+//! Each removal draw is a fresh `remove_random` followed by a streaming
+//! per-source curve compute on the thinned trace.
 
-use crate::experiments::util::{curve_profile_options, curves_from_rows, delay_grid, section};
+use crate::experiments::util::{curves, delay_grid, section};
 use crate::substrate::{substrate, Span, Transform};
 use crate::Config;
-use omnet_core::incremental::{ContactDelta, IncrementalProfiles};
 use omnet_core::HopBound;
 use omnet_mobility::Dataset;
-use omnet_temporal::transform::remove_random_draw;
-use omnet_temporal::{ContactKey, Dur, Trace};
+use omnet_temporal::transform::remove_random;
+use omnet_temporal::{Dur, Trace};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::fmt::Write as _;
@@ -68,9 +60,6 @@ pub fn run(cfg: &Config) -> String {
     let reps = if cfg.quick { 2 } else { 5 };
     let max_hops = if cfg.quick { 8 } else { 12 };
 
-    // One base build; every removal panel is a delta against these rows.
-    let base = IncrementalProfiles::new(&day2, curve_profile_options(max_hops));
-
     for keep in [1.0f64, 0.1, 0.01] {
         let label = format!("{:.0}% of contacts remaining", keep * 100.0);
         let _ = writeln!(out, "--- {label} ---");
@@ -78,19 +67,15 @@ pub fn run(cfg: &Config) -> String {
         let mut acc: Option<Vec<Vec<f64>>> = None;
         let mut diams = Vec::new();
         for rep in 0..reps {
-            // keep == 1.0 aggregates the shared base rows directly; only
-            // the removal panels clone the engine and apply a delta.
-            let c = if keep >= 1.0 {
-                curves_from_rows(&day2, base.rows(), max_hops, grid.clone())
+            let removed;
+            let t: &Trace = if keep >= 1.0 {
+                &day2
             } else {
                 let mut rng = StdRng::seed_from_u64(removal_seed(cfg.seed, keep, rep));
-                let removed = remove_random_draw(&day2, 1.0 - keep, &mut rng);
-                let mut engine = base.clone();
-                engine.apply(&ContactDelta::remove_only(
-                    removed.into_iter().map(ContactKey::from_base),
-                ));
-                curves_from_rows(engine.trace(), engine.rows(), max_hops, grid.clone())
+                removed = remove_random(&day2, 1.0 - keep, &mut rng);
+                &removed
             };
+            let c = curves(t, max_hops, grid.clone());
             diams.push(c.diameter(0.01));
             let mut rows: Vec<Vec<f64>> = Vec::new();
             for k in [1usize, 2, 3, 4] {
@@ -142,8 +127,6 @@ pub fn run(cfg: &Config) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::experiments::util::curves;
-    use omnet_temporal::transform::remove_random;
 
     #[test]
     fn three_removal_levels_reported() {
@@ -166,99 +149,5 @@ mod tests {
         let t = infocom06_day2(&cfg);
         assert_eq!(t.span().duration(), Dur::days(1.0));
         assert!(t.num_contacts() > 100);
-    }
-
-    /// A frozen copy of the pre-incremental batch path: a fresh
-    /// `remove_random` + per-source curve compute per (keep, rep). The
-    /// rerouted `run` must emit byte-identical text.
-    fn batch_reference(cfg: &Config) -> String {
-        let mut out = String::new();
-        section(
-            &mut out,
-            "Figure 10: delay CDF under random contact removal (Infocom06 day 2)",
-        );
-        let day2 = infocom06_day2(cfg);
-        let _ = writeln!(
-            out,
-            "substrate: {} internal contacts among {} devices\n",
-            day2.num_contacts(),
-            day2.num_internal()
-        );
-        let grid = delay_grid(Dur::days(1.0), if cfg.quick { 8 } else { 16 });
-        let reps = if cfg.quick { 2 } else { 5 };
-        let max_hops = if cfg.quick { 8 } else { 12 };
-        for keep in [1.0f64, 0.1, 0.01] {
-            let label = format!("{:.0}% of contacts remaining", keep * 100.0);
-            let _ = writeln!(out, "--- {label} ---");
-            let mut acc: Option<Vec<Vec<f64>>> = None;
-            let mut diams = Vec::new();
-            for rep in 0..reps {
-                let removed;
-                let t: &Trace = if keep >= 1.0 {
-                    &day2
-                } else {
-                    let mut rng = StdRng::seed_from_u64(removal_seed(cfg.seed, keep, rep));
-                    removed = remove_random(&day2, 1.0 - keep, &mut rng);
-                    &removed
-                };
-                let c = curves(t, max_hops, grid.clone());
-                diams.push(c.diameter(0.01));
-                let mut rows: Vec<Vec<f64>> = Vec::new();
-                for k in [1usize, 2, 3, 4] {
-                    rows.push(c.curve(HopBound::AtMost(k)).unwrap().to_vec());
-                }
-                rows.push(c.curve(HopBound::Unlimited).unwrap().to_vec());
-                acc = Some(match acc {
-                    None => rows,
-                    Some(mut a) => {
-                        for (ar, rr) in a.iter_mut().zip(rows) {
-                            for (x, y) in ar.iter_mut().zip(rr) {
-                                *x += y;
-                            }
-                        }
-                        a
-                    }
-                });
-                if keep >= 1.0 {
-                    break;
-                }
-            }
-            let runs = if keep >= 1.0 { 1 } else { reps };
-            let mut rows = acc.expect("at least one run");
-            for r in rows.iter_mut() {
-                for v in r.iter_mut() {
-                    *v /= runs as f64;
-                }
-            }
-            let xs: Vec<f64> = grid.iter().map(|d| d.as_secs()).collect();
-            let mut series = omnet_analysis::Series::new("delay_s", xs);
-            for (i, k) in [1usize, 2, 3, 4].iter().enumerate() {
-                series.curve(format!("{k}hop"), rows[i].clone());
-            }
-            series.curve("flood", rows[4].clone());
-            out.push_str(&series.render());
-            let shown: Vec<String> = diams
-                .iter()
-                .map(|d| d.map_or(format!("->{max_hops}+"), |v| v.to_string()))
-                .collect();
-            let _ = writeln!(out, "99%-diameter per removal draw: {}\n", shown.join(", "));
-        }
-        out.push_str(
-            "paper checkpoints: P[<=10min] drops from ~35% to ~0.2% at 1% kept;\n\
-             P[<=6h] drops from ~90% to ~5%; the diameter remains under ~5 hops.\n",
-        );
-        out
-    }
-
-    /// The tentpole's exactness contract at experiment granularity: the
-    /// incremental reroute is not allowed to move the output by a single
-    /// byte relative to the batch rebuild-per-level path.
-    #[test]
-    fn incremental_reroute_is_byte_identical_to_batch_path() {
-        let cfg = Config {
-            quick: true,
-            ..Config::default()
-        };
-        assert_eq!(run(&cfg), batch_reference(&cfg));
     }
 }

@@ -46,29 +46,6 @@ pub fn curves(trace: &Trace, max_hops: usize, grid: Vec<Dur>) -> SuccessCurves {
     SuccessCurves::compute(trace, &CurveOptions::standard(max_hops, grid))
 }
 
-/// The profile options [`curves`] computes its rows with — what a
-/// pre-built row set (e.g. the incremental engine's) must use for
-/// [`curves_from_rows`] to reproduce [`curves`] bitwise.
-pub fn curve_profile_options(max_hops: usize) -> omnet_core::ProfileOptions {
-    CurveOptions::standard(max_hops, Vec::new()).profiles
-}
-
-/// [`curves`] aggregated from pre-built profile rows (sources ascending
-/// from 0, at least the internal ones) instead of a fresh per-source
-/// compute. With rows built under [`curve_profile_options`] on the same
-/// trace the result is bitwise identical to [`curves`] — the incremental
-/// fig10 path relies on this.
-pub fn curves_from_rows(
-    trace: &Trace,
-    rows: &[omnet_core::SourceProfiles],
-    max_hops: usize,
-    grid: Vec<Dur>,
-) -> SuccessCurves {
-    let opts = CurveOptions::standard(max_hops, grid);
-    let refs: Vec<&omnet_core::SourceProfiles> = rows.iter().collect();
-    SuccessCurves::from_profiles(&refs, &opts, &[trace.span()], trace.num_internal())
-}
-
 /// Renders selected hop-class curves (plus flooding) as a series table.
 pub fn render_curves(curves: &SuccessCurves, hops: &[usize]) -> String {
     let xs: Vec<f64> = curves.grid().iter().map(|d| d.as_secs()).collect();

@@ -1,20 +1,6 @@
-//! Shared helpers for the wall-clock gates under `benches/` (`incremental`
-//! and `scaling`): one timer and one peak-RSS column, so each gate's JSON
-//! report records how much resident memory its run actually touched.
-
-use std::time::Instant;
-
-/// Best-of-`reps` wall-clock milliseconds for `f`. Each result goes
-/// through [`std::hint::black_box`] so the timed work cannot be elided.
-pub fn time_best_ms<T>(reps: usize, mut f: impl FnMut() -> T) -> f64 {
-    let mut best = f64::INFINITY;
-    for _ in 0..reps {
-        let t0 = Instant::now();
-        std::hint::black_box(f());
-        best = best.min(t0.elapsed().as_secs_f64() * 1e3);
-    }
-    best
-}
+//! Shared helpers for the wall-clock gate under `benches/` (`scaling`):
+//! a peak-RSS column, so the gate's JSON report records how much resident
+//! memory its run actually touched.
 
 /// An optional count as a JSON value: the number, or `null` when absent.
 pub fn json_u64(v: Option<u64>) -> String {
@@ -93,11 +79,7 @@ mod tests {
     }
 
     #[test]
-    fn best_of_reps_is_a_finite_minimum() {
-        let mut calls = 0;
-        let ms = time_best_ms(3, || calls += 1);
-        assert_eq!(calls, 3);
-        assert!(ms.is_finite() && ms >= 0.0, "bad timing {ms}");
+    fn optional_counts_render_as_json() {
         assert_eq!(json_u64(Some(7)), "7");
         assert_eq!(json_u64(None), "null");
     }

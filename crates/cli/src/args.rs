@@ -427,5 +427,13 @@ mod tests {
             let a = format!("generate infocom05 o --days {days}");
             assert_eq!(code(&a), 4, "{a}");
         }
+        // Counts that would size an allocation are capped (4) before the
+        // (here missing) trace file is opened.
+        for a in [
+            "cdf t --points 1000000000000",
+            "check t --starts 100000000000",
+        ] {
+            assert_eq!(code(a), 4, "{a}");
+        }
     }
 }

@@ -196,6 +196,11 @@ pub fn diameter(a: &Args) -> Result<String, CliError> {
     answer(trace, &path, &query)
 }
 
+/// Most grid points `omnet cdf --points` takes.
+const MAX_CDF_POINTS: usize = 100_000;
+/// Most creation times `omnet check --starts` cross-checks.
+const MAX_CHECK_STARTS: usize = 10_000;
+
 /// `omnet cdf`.
 pub fn cdf(a: &Args) -> Result<String, CliError> {
     let path = a.path(0);
@@ -211,6 +216,11 @@ pub fn cdf(a: &Args) -> Result<String, CliError> {
     let internal_only = a.switch("--internal-only");
     if points < 2 {
         return Err(CliError::domain("--points must be at least 2"));
+    }
+    if points > MAX_CDF_POINTS {
+        return Err(CliError::domain(format!(
+            "--points must be at most {MAX_CDF_POINTS}"
+        )));
     }
     let trace = load(&path)?;
     let trace = if internal_only {
@@ -755,6 +765,11 @@ pub fn check(a: &Args) -> Result<String, CliError> {
     let path = a.path(0);
     let oracle = a.switch("--oracle");
     let starts = a.flag::<usize>("--starts")?.unwrap_or(4).max(1);
+    if starts > MAX_CHECK_STARTS {
+        return Err(CliError::domain(format!(
+            "--starts must be at most {MAX_CHECK_STARTS}"
+        )));
+    }
     let trace = load(&path)?;
     let mut text = String::new();
     trace

@@ -351,48 +351,6 @@ impl ProfileScratch {
 /// implicit.
 pub(crate) type LevelRuns = Vec<(u32, Box<[LdEa]>)>;
 
-/// Reconstruction seed for a level-suffix replay (§4.4 incremental
-/// maintenance): the stored delta runs of levels `1..=prefix.len()` of a
-/// previous induction of the same row, valid when the substrate edits
-/// cannot change any level inside the prefix (the incremental engine
-/// replays from the minimum first-contribution level of the removed
-/// contacts — see `crate::incremental`).
-pub(crate) struct SuffixSeed<'a> {
-    /// `prefix[k-1]`: the level-`k` delta runs, ascending by destination.
-    pub prefix: &'a [LevelRuns],
-    /// Contact ids (of the current trace) whose first surviving
-    /// contribution lies inside the prefix — pre-seeded into the
-    /// dependency memo so the replay neither re-tags nor re-records them.
-    pub preseed: &'a [u32],
-    /// Repair mode (removal-only replays with the old induction fully
-    /// stored): track the removal cascade and re-extend only into the
-    /// destinations it can influence, copying every other destination's
-    /// old run.
-    pub repair: Option<RepairSeed<'a>>,
-}
-
-/// The repair-mode extension of a [`SuffixSeed`] (§4.4 incremental
-/// maintenance). During the replayed levels the induction keeps the
-/// **affected set** — destinations whose candidate gather or frontier can
-/// differ from the old induction's: diverged frontiers, arc destinations
-/// of nodes whose previous-level run changed, and counterparts of removed
-/// contacts whose other endpoint had an old previous-level run. Only
-/// affected destinations are re-extended; every other destination's old
-/// run is re-absorbed verbatim (identical candidates against an identical
-/// frontier re-add exactly), which turns the per-level cost from full arc
-/// extension into a merge proportional to the stored runs plus work
-/// proportional to the cascade width.
-pub(crate) struct RepairSeed<'a> {
-    /// `old_suffix[i]`: the old induction's level-`(prefix.len()+1+i)`
-    /// delta runs — as many levels as the old row stored. Cascade
-    /// filtering runs exactly that deep (every unaffected destination's
-    /// run must be copyable); levels past it replay with full extension.
-    pub old_suffix: &'a [LevelRuns],
-    /// Endpoint node ids of the removed contacts (node ids are stable
-    /// across the rematerialization that renumbers contact ids).
-    pub removed_endpoints: &'a [(u32, u32)],
-}
-
 /// What [`SourceProfiles::induct_core`] leaves behind besides the frontiers
 /// themselves (which stay in the scratch for the caller to materialize or
 /// visit in place).
@@ -445,7 +403,7 @@ impl SourceProfiles {
         scratch: &mut ProfileScratch,
     ) -> SourceProfiles {
         let n = trace.num_nodes() as usize;
-        let fix = SourceProfiles::induct_core(trace, arcs, source, opts, scratch, None, None);
+        let fix = SourceProfiles::induct_core(trace, arcs, source, opts, scratch);
         let unlimited = scratch.take_rows(n);
         SourceProfiles {
             source,
@@ -454,72 +412,6 @@ impl SourceProfiles {
             converged_at: fix.converged_at,
             converged: fix.converged,
         }
-    }
-
-    /// [`SourceProfiles::induct`] with the contact→row dependency recorder
-    /// switched on: `deps` collects `(contact id, level)` for every contact
-    /// that contributed a surviving candidate — one absorbed (by value)
-    /// into a destination frontier — tagged with the first level at which
-    /// that happened (one entry per contact, unsorted — the incremental
-    /// engine sorts by stable key). A contact **not** recorded here cannot
-    /// change the row when removed, which is what makes the engine's
-    /// removal dirty set exact; the level is the earliest the removal can
-    /// perturb, which is what makes suffix replays exact (see
-    /// `incremental`).
-    pub(crate) fn induct_with_deps(
-        trace: &Trace,
-        arcs: &Arcs,
-        source: NodeId,
-        opts: ProfileOptions,
-        scratch: &mut ProfileScratch,
-        deps: &mut Vec<(u32, u32)>,
-    ) -> SourceProfiles {
-        let n = trace.num_nodes() as usize;
-        let fix = SourceProfiles::induct_core(trace, arcs, source, opts, scratch, Some(deps), None);
-        let unlimited = scratch.take_rows(n);
-        SourceProfiles {
-            source,
-            levels: fix.levels,
-            unlimited,
-            converged_at: fix.converged_at,
-            converged: fix.converged,
-        }
-    }
-
-    /// [`SourceProfiles::induct_with_deps`] restarted from a level suffix
-    /// (§4.4): reconstructs the induction state as of level
-    /// `seed.prefix.len()` from the stored delta runs of a previous
-    /// computation of this row, then replays only the levels after it.
-    /// Byte-identical to a cold recompute whenever the substrate edits
-    /// cannot change any level inside the prefix; the recorded `deps`
-    /// cover only the replayed suffix (the caller keeps the prefix's
-    /// entries, which `seed.preseed` masks from re-recording).
-    pub(crate) fn induct_suffix_with_deps(
-        trace: &Trace,
-        arcs: &Arcs,
-        source: NodeId,
-        opts: ProfileOptions,
-        scratch: &mut ProfileScratch,
-        deps: &mut Vec<(u32, u32)>,
-        seed: &SuffixSeed<'_>,
-    ) -> SourceProfiles {
-        let n = trace.num_nodes() as usize;
-        let fix =
-            SourceProfiles::induct_core(trace, arcs, source, opts, scratch, Some(deps), Some(seed));
-        let unlimited = scratch.take_rows(n);
-        SourceProfiles {
-            source,
-            levels: fix.levels,
-            unlimited,
-            converged_at: fix.converged_at,
-            converged: fix.converged,
-        }
-    }
-
-    /// The stored per-level delta runs — the reconstruction substrate for
-    /// suffix replays (§4.4).
-    pub(crate) fn delta_runs(&self) -> &[LevelRuns] {
-        &self.levels
     }
 
     /// The induction body shared by every entry point, materializing or
@@ -535,31 +427,12 @@ impl SourceProfiles {
     /// bitset, then absorbs exactly the touched destinations — sorted so
     /// delta runs stay ascending — via the merge-based
     /// [`DeliveryFunction::absorb_compacted`].
-    ///
-    /// When `deps` is `Some`, every contact that contributes a *surviving*
-    /// candidate — one equal in value to a pair the absorb step genuinely
-    /// added to a destination frontier — is pushed once as
-    /// `(contact id, first such level)`: the contact→row dependency trail
-    /// of the incremental engine. Candidates that lose to a same-level
-    /// sibling or to the current frontier leave no trail: dropping them
-    /// cannot change any absorbed set, so a contact recorded for none of
-    /// its candidates can be removed without perturbing the replay (see
-    /// `crate::incremental` for the full argument). `None` keeps the hot
-    /// path free of the bookkeeping.
-    ///
-    /// When `suffix` is `Some`, levels `1..=suffix.prefix.len()` are not
-    /// run at all: the frontier state they would produce is reconstructed
-    /// by re-absorbing the stored delta runs (each run re-adds exactly, so
-    /// the state is byte-identical), and the replay starts at
-    /// `prefix.len() + 1`. Requires `deps` recording.
     fn induct_core(
         trace: &Trace,
         arcs: &Arcs,
         source: NodeId,
         opts: ProfileOptions,
         scratch: &mut ProfileScratch,
-        mut deps: Option<&mut Vec<(u32, u32)>>,
-        suffix: Option<&SuffixSeed<'_>>,
     ) -> InductionFixpoint {
         let n = trace.num_nodes() as usize;
         assert_eq!(arcs.num_nodes(), n, "arcs built for a different trace");
@@ -587,122 +460,11 @@ impl SourceProfiles {
         reached_words[src >> 6] |= 1u64 << (src & 63);
         reached.push(source.0);
 
+        arena.push(LdEa::EMPTY);
+        delta_index.push((source.0, 0, 1));
         let mut levels: Vec<LevelRuns> = Vec::new();
-        let start_level = match suffix {
-            None => {
-                arena.push(LdEa::EMPTY);
-                delta_index.push((source.0, 0, 1));
-                1
-            }
-            Some(seed) => {
-                // Suffix replay: rebuild the state as of level
-                // `prefix.len()` by re-absorbing the stored runs in level
-                // order. Each run was the surviving set against this exact
-                // prefix of `cur`, so `absorb_compacted` re-adds it whole
-                // and the frontiers, reached set and stored prefix come
-                // back byte-identical to the original induction's.
-                debug_assert!(
-                    !seed.prefix.is_empty(),
-                    "suffix replay starts at level >= 2; use a full induction instead"
-                );
-                for runs in seed.prefix {
-                    for (t, run) in runs.iter() {
-                        let ti = *t as usize;
-                        cands[ti].extend_from_slice(run);
-                        cur[ti].absorb_compacted(&mut cands[ti], added, merge);
-                        cands[ti].clear();
-                        debug_assert_eq!(&added[..], &run[..], "stored run failed to re-absorb");
-                        if reached_words[ti >> 6] & (1u64 << (t & 63)) == 0 {
-                            reached_words[ti >> 6] |= 1u64 << (t & 63);
-                            reached.push(*t);
-                        }
-                    }
-                }
-                // The deepest prefix level's runs seed the next extension
-                // (the role `delta_index` plays between ordinary levels).
-                if let Some(last) = seed.prefix.last() {
-                    for (t, run) in last.iter() {
-                        let lo = arena.len() as u32;
-                        arena.extend_from_slice(run);
-                        delta_index.push((*t, lo, arena.len() as u32));
-                    }
-                }
-                levels.extend(seed.prefix.iter().cloned());
-                seed.prefix.len() + 1
-            }
-        };
         let mut converged_at = opts.max_levels;
         let mut converged = false;
-        // Dependency-tracking mode only: per-destination provenance tags,
-        // one `(candidate, contact)` entry per pair currently in `cands`,
-        // plus a per-contact "already a dependency" memo — one surviving
-        // contribution is enough to record a contact, so later candidates
-        // from a recorded contact are neither tagged nor resolved. The hot
-        // path (`deps == None`) never allocates or touches any of this.
-        let mut tags: Vec<Vec<(LdEa, u32)>> = if deps.is_some() {
-            vec![Vec::new(); n]
-        } else {
-            Vec::new()
-        };
-        let mut dep_seen: Vec<bool> = if deps.is_some() {
-            vec![false; trace.num_contacts()]
-        } else {
-            Vec::new()
-        };
-        if let Some(seed) = suffix {
-            for &cid in seed.preseed {
-                dep_seen[cid as usize] = true;
-            }
-        }
-        // Repair-mode state (see [`RepairSeed`]): the per-level affected
-        // destination set, the monotone diverged set (destinations whose
-        // frontier no longer matches the old induction's — once diverged,
-        // every later absorb there must be redone), and the worklist of
-        // destinations whose previous-level run changed. All of it is
-        // dead weight the hot path never allocates.
-        let repairing = suffix.is_some_and(|s| s.repair.is_some());
-        let removed_endpoints: &[(u32, u32)] = suffix
-            .and_then(|s| s.repair.as_ref())
-            .map_or(&[], |r| r.removed_endpoints);
-        // Cascade filtering is sound exactly through the levels whose old
-        // runs are available (every unaffected destination's run must be
-        // copyable); past them the replay falls back to full extension —
-        // `cur` and the delta index are complete at the transition, so
-        // the remaining levels run like any cold induction's.
-        let repair_through = suffix.map_or(0, |s| {
-            s.prefix.len() + s.repair.as_ref().map_or(0, |r| r.old_suffix.len())
-        });
-        let words = n.div_ceil(64);
-        let mut affected_words: Vec<u64> = if repairing {
-            vec![0; words]
-        } else {
-            Vec::new()
-        };
-        let mut affected_list: Vec<u32> = Vec::new();
-        let mut diverged_words: Vec<u64> = if repairing {
-            vec![0; words]
-        } else {
-            Vec::new()
-        };
-        let mut diverged_list: Vec<u32> = Vec::new();
-        let mut changed_prev: Vec<u32> = Vec::new();
-        let mut changed_next: Vec<u32> = Vec::new();
-        // The old induction's level-`k` delta runs: the reconstruction
-        // prefix for levels inside it, the repair seed's suffix beyond.
-        let old_runs_at = |k: usize| -> &[(u32, Box<[LdEa]>)] {
-            let Some(seed) = suffix else { return &[] };
-            let p = seed.prefix.len();
-            if k == 0 {
-                &[]
-            } else if k <= p {
-                &seed.prefix[k - 1]
-            } else {
-                seed.repair
-                    .as_ref()
-                    .and_then(|r| r.old_suffix.get(k - p - 1))
-                    .map_or(&[], Vec::as_slice)
-            }
-        };
         // Telemetry accumulators — flushed to the `engine.*` counters once
         // per source so the per-(pair, arc) loop stays counter-free.
         let mut levels_run = 0u64;
@@ -711,48 +473,8 @@ impl SourceProfiles {
         let mut frontier_touched = 0u64;
         let mut arena_hwm = arena.len() as u64;
 
-        for k in start_level..=opts.max_levels {
+        for k in 1..=opts.max_levels {
             levels_run += 1;
-            let filtered = repairing && k <= repair_through;
-            if filtered {
-                // Affected set for this level: (i) diverged frontiers —
-                // any absorb against them must be redone; (ii) arc
-                // destinations of nodes whose level-(k-1) run changed —
-                // their candidate gathers differ; (iii) counterparts of
-                // removed contacts whose other endpoint had an old
-                // level-(k-1) run — the old candidates through the
-                // now-missing arcs. Every other destination receives
-                // byte-identical candidates against a byte-identical
-                // frontier, so its old run is copied, never recomputed.
-                for &t in &affected_list {
-                    affected_words[(t >> 6) as usize] &= !(1u64 << (t & 63));
-                }
-                affected_list.clear();
-                let mut mark = |t: u32| {
-                    let (w, bit) = ((t >> 6) as usize, 1u64 << (t & 63));
-                    if affected_words[w] & bit == 0 {
-                        affected_words[w] |= bit;
-                        affected_list.push(t);
-                    }
-                };
-                for &t in &diverged_list {
-                    mark(t);
-                }
-                for &m in &changed_prev {
-                    for &(to, _) in arcs.leaving(NodeId(m)) {
-                        mark(to);
-                    }
-                }
-                let prev_runs = old_runs_at(k - 1);
-                for &(a, b) in removed_endpoints {
-                    if prev_runs.binary_search_by_key(&b, |e| e.0).is_ok() {
-                        mark(a);
-                    }
-                    if prev_runs.binary_search_by_key(&a, |e| e.0).is_ok() {
-                        mark(b);
-                    }
-                }
-            }
             // Extension: concatenate every level-(k-1) delta run with every
             // arc its summaries can still board. Runs ascend by destination,
             // so the CSR rows are visited in ascending memory order.
@@ -767,11 +489,8 @@ impl SourceProfiles {
                 time_pruned += cut as u64;
                 let min_ea = d[0].ea;
                 let max_ld = d[d.len() - 1].ld;
-                for (j, &(to, iv)) in boardable.iter().enumerate() {
+                for &(to, iv) in boardable {
                     let t = to as usize;
-                    if filtered && affected_words[t >> 6] & (1u64 << (t & 63)) == 0 {
-                        continue;
-                    }
                     // Every candidate this arc can produce is weakly
                     // dominated by the batch corner `(min(max LD, end),
                     // max(min EA, start))`; if the destination frontier
@@ -792,19 +511,9 @@ impl SourceProfiles {
                     // is unchanged).
                     let before = cands[t].len();
                     delivery::extend_frontier_filtered_into(d, iv, cur[t].pairs(), &mut cands[t]);
-                    if cands[t].len() > before {
-                        if deps.is_some() {
-                            let cid = arcs.leaving_contacts(node)[cut + j].0;
-                            if !dep_seen[cid as usize] {
-                                for &p in &cands[t][before..] {
-                                    tags[t].push((p, cid));
-                                }
-                            }
-                        }
-                        if dirty[t >> 6] & (1u64 << (t & 63)) == 0 {
-                            dirty[t >> 6] |= 1u64 << (t & 63);
-                            touched.push(to);
-                        }
+                    if cands[t].len() > before && dirty[t >> 6] & (1u64 << (t & 63)) == 0 {
+                        dirty[t >> 6] |= 1u64 << (t & 63);
+                        touched.push(to);
                     }
                 }
             }
@@ -817,103 +526,11 @@ impl SourceProfiles {
             frontier_touched += touched.len() as u64;
             arena.clear();
             delta_index.clear();
-            // Repair mode interleaves the old induction's level-`k` runs
-            // with the touched (affected, re-extended) destinations in one
-            // ascending merge walk, so the new runs stay ascending by
-            // destination: old runs outside the affected set are copied
-            // (they re-add exactly), old runs inside it either get rebuilt
-            // by the absorb below or vanished; both count as changed runs
-            // that seed the next level's affected set. Outside repair mode
-            // `old_k` is empty and this is the plain touched walk.
-            let old_k: &[(u32, Box<[LdEa]>)] = if filtered { old_runs_at(k) } else { &[] };
-            let mut oi = 0usize;
-            let mut tj = 0usize;
-            loop {
-                let next_t = touched.get(tj).copied();
-                let next_o = old_k.get(oi).map(|e| e.0);
-                if let Some(o) = next_o {
-                    if next_t.is_none_or(|t| o < t) {
-                        let run = &old_k[oi].1;
-                        oi += 1;
-                        let ti = o as usize;
-                        if affected_words[ti >> 6] & (1u64 << (o & 63)) != 0 {
-                            // Re-extended but no candidate survived the
-                            // gather: the old run vanished.
-                            changed_next.push(o);
-                            let (w, bit) = (ti >> 6, 1u64 << (o & 63));
-                            if diverged_words[w] & bit == 0 {
-                                diverged_words[w] |= bit;
-                                diverged_list.push(o);
-                            }
-                        } else {
-                            // Outside the cascade: identical candidates
-                            // against an identical frontier — the stored
-                            // run re-adds exactly and IS this level's run.
-                            cands[ti].extend_from_slice(run);
-                            cur[ti].absorb_compacted(&mut cands[ti], added, merge);
-                            cands[ti].clear();
-                            debug_assert_eq!(
-                                &added[..],
-                                &run[..],
-                                "copied run failed to re-absorb"
-                            );
-                            let lo = arena.len() as u32;
-                            arena.extend_from_slice(run);
-                            delta_index.push((o, lo, arena.len() as u32));
-                            if reached_words[ti >> 6] & (1u64 << (o & 63)) == 0 {
-                                reached_words[ti >> 6] |= 1u64 << (o & 63);
-                                reached.push(o);
-                            }
-                        }
-                        continue;
-                    }
-                }
-                let Some(t) = next_t else { break };
-                let old_run: Option<&[LdEa]> = match next_o {
-                    Some(o) if o == t => {
-                        oi += 1;
-                        Some(&old_k[oi - 1].1)
-                    }
-                    _ => None,
-                };
-                tj += 1;
+            for &t in touched.iter() {
                 let ti = t as usize;
                 dirty[ti >> 6] &= !(1u64 << (t & 63));
                 cur[ti].absorb_compacted(&mut cands[ti], added, merge);
                 cands[ti].clear();
-                if let Some(rec) = deps.as_mut() {
-                    // A contact becomes a dependency only when one of its
-                    // candidates survives (by value) into the added set:
-                    // `added` strictly ascends in LD, so each tag resolves
-                    // with one binary search.
-                    if !added.is_empty() {
-                        for &(p, cid) in tags[ti].iter() {
-                            if dep_seen[cid as usize] {
-                                continue;
-                            }
-                            let i = added.partition_point(|q| q.ld < p.ld);
-                            if i < added.len() && added[i].ld == p.ld && added[i].ea == p.ea {
-                                dep_seen[cid as usize] = true;
-                                rec.push((cid, k as u32));
-                            }
-                        }
-                    }
-                    tags[ti].clear();
-                }
-                if filtered {
-                    let same = match old_run {
-                        Some(run) => added[..] == run[..],
-                        None => added.is_empty(),
-                    };
-                    if !same {
-                        changed_next.push(t);
-                        let (w, bit) = (ti >> 6, 1u64 << (t & 63));
-                        if diverged_words[w] & bit == 0 {
-                            diverged_words[w] |= bit;
-                            diverged_list.push(t);
-                        }
-                    }
-                }
                 if added.is_empty() {
                     continue;
                 }
@@ -926,10 +543,6 @@ impl SourceProfiles {
                 }
             }
             touched.clear();
-            if filtered {
-                changed_prev.clear();
-                std::mem::swap(&mut changed_prev, &mut changed_next);
-            }
             arena_hwm = arena_hwm.max(arena.len() as u64);
             let changed = !delta_index.is_empty();
             if omnet_obs::enabled() {
@@ -1501,8 +1114,7 @@ impl AllPairsProfiles {
         let results =
             omnet_analysis::par_map_with(sources.len(), ProfileScratch::default, |scratch, i| {
                 let source = NodeId(base + i as u32);
-                let fix =
-                    SourceProfiles::induct_core(trace, &arcs, source, opts, scratch, None, None);
+                let fix = SourceProfiles::induct_core(trace, &arcs, source, opts, scratch);
                 scratch.reached.sort_unstable();
                 let view = ProfileView {
                     source,

@@ -30,8 +30,7 @@
 //! * [`delivery`] — the Pareto-frontier representation (§4.3, condition 4);
 //! * [`algorithm`] — the all-pairs, hop-bounded induction (§4.4);
 //! * [`diameter`] — exact success curves and the (1−ε)-diameter (§4.1);
-//! * [`incremental`] — delta-driven maintenance of the all-pairs profiles
-//!   (append/remove contacts without a cold restart);
+//! * [`delta`] — the contact-delta value that mutable datasets apply;
 //! * [`dijkstra`] — single-query earliest-arrival baseline and path
 //!   witnesses (refs [1],[7]);
 //! * [`witness`] — concrete path witnesses for optimal frontier pairs;
@@ -45,9 +44,9 @@
 pub mod algorithm;
 pub mod bruteforce;
 pub mod delivery;
+pub mod delta;
 pub mod diameter;
 pub mod dijkstra;
-pub mod incremental;
 pub mod invariants;
 pub mod profile_stats;
 pub mod witness;
@@ -57,9 +56,9 @@ pub use algorithm::{
     ProfileView, SourceProfileParts, SourceProfiles,
 };
 pub use delivery::DeliveryFunction;
+pub use delta::ContactDelta;
 pub use diameter::{day_time_windows, CurveOptions, SuccessCurves};
 pub use dijkstra::{earliest_arrival, earliest_arrival_bounded, ArrivalTree};
-pub use incremental::{ContactDelta, DeltaStats, IncrementalProfiles};
 pub use invariants::{cross_check, CrossCheckOptions, Divergence};
 pub use profile_stats::{reachability_by_hops, ProfileStats};
 pub use witness::{optimal_journeys, route_string, witness_for_pair};
@@ -86,9 +85,9 @@ pub mod prelude {
         ProfileView, SourceProfileParts, SourceProfiles,
     };
     pub use crate::delivery::DeliveryFunction;
+    pub use crate::delta::ContactDelta;
     pub use crate::diameter::{day_time_windows, CurveOptions, SuccessCurves};
     pub use crate::dijkstra::{earliest_arrival, earliest_arrival_bounded, ArrivalTree};
-    pub use crate::incremental::{ContactDelta, DeltaStats, IncrementalProfiles};
     pub use crate::profile_stats::{reachability_by_hops, ProfileStats};
     pub use crate::witness::{optimal_journeys, route_string, witness_for_pair};
     pub use omnet_temporal::{Contact, Dur, Interval, LdEa, NodeId, Time, Trace, TraceBuilder};

@@ -5,9 +5,9 @@ use crate::query::{
     StatsAnswer,
 };
 use omnet_artifact::{map_set, ArtifactError, ArtifactMeta, MappedSet};
-use omnet_core::incremental::{record_external_delta, row_may_use, ContactDelta};
 use omnet_core::{
-    earliest_arrival, Arcs, CurveOptions, HopBound, ProfileOptions, SourceProfiles, SuccessCurves,
+    earliest_arrival, Arcs, ContactDelta, CurveOptions, HopBound, ProfileOptions, SourceProfiles,
+    SuccessCurves,
 };
 use omnet_temporal::{Contact, ContactId, Dur, Interval, NodeId, Time, Trace, TraceOverlay};
 use std::collections::HashMap;
@@ -411,11 +411,10 @@ impl Engine {
     /// methodology / streaming contact ingestion): rebuilds the substrate
     /// through a [`TraceOverlay`], rebuilds the CSR arc index, and drops
     /// exactly the memoized rows the delta can affect — the boardability
-    /// test the incremental engine uses
-    /// ([`row_may_use`](omnet_core::incremental::row_may_use)), exact for
-    /// appends and sound for removals (a row whose earliest arrivals
-    /// cannot board a contact never used it). Dropped rows recompute
-    /// lazily on next use; retained rows stay byte-identical answers.
+    /// test of [`row_may_use`], exact for appends and sound for removals
+    /// (a row whose earliest arrivals cannot board a contact never used
+    /// it). Dropped rows recompute lazily on next use; retained rows stay
+    /// byte-identical answers.
     ///
     /// Removal keys address the trace the engine held at `key_epoch` —
     /// every applied delta compacts, renumbering the key space and
@@ -498,10 +497,8 @@ impl Engine {
         // state is untouched until the swap below.
         let mut touched: Vec<Contact> = delta.append.clone();
         let mut overlay = TraceOverlay::new(Trace::clone(trace));
-        let mut removed = 0usize;
         for &k in &delta.remove {
             if overlay.remove(k) {
-                removed += 1;
                 touched.push(*trace.contact(ContactId(k.0)));
             }
         }
@@ -524,7 +521,8 @@ impl Engine {
         // The materialized trace renumbered the contact/key space.
         self.key_epoch += 1;
 
-        record_external_delta(delta.append.len(), removed, dropped);
+        crate::DELTAS_APPLIED.inc();
+        crate::ROWS_INVALIDATED.add(dropped as u64);
         span.record("rows_invalidated", dropped);
         span.record("key_epoch", self.key_epoch);
         Ok(DeltaApplied {
@@ -568,6 +566,22 @@ impl Engine {
             max_useful_hops,
         }
     }
+}
+
+/// True when `row`'s source can board `c`: the earliest arrival at either
+/// endpoint is `<=` the contact's end (§4.3, fact (iv)). Any journey using
+/// a contact has a prefix reaching one of its endpoints by its end, so a
+/// contact that fails this test for a row is not used by that row, and
+/// appending it cannot change the row — the memo-invalidation test of
+/// [`Engine::apply_delta`].
+fn row_may_use(row: &SourceProfiles, c: &Contact) -> bool {
+    let boardable = |d: NodeId| {
+        row.profile(d, HopBound::Unlimited)
+            .pairs()
+            .first()
+            .is_some_and(|p| p.ea <= c.end())
+    };
+    boardable(c.a) || boardable(c.b)
 }
 
 fn kind(q: &Query) -> &'static str {
@@ -1170,5 +1184,23 @@ mod tests {
         assert_eq!(a.pairs, curves.pairs());
         assert_eq!(a.grid, curves.grid());
         assert_eq!(a.per_delay, curves.diameter_curve(0.01));
+    }
+
+    #[test]
+    fn row_may_use_respects_boardability() {
+        // 0—1 early, 1—2 late, 3 isolated.
+        let t = TraceBuilder::new()
+            .num_nodes(4)
+            .window(Interval::secs(0.0, 1000.0))
+            .contact_secs(0, 1, 0.0, 60.0)
+            .contact_secs(1, 2, 300.0, 360.0)
+            .build();
+        let rows = AllPairsProfiles::compute(&t, ProfileOptions::default()).into_rows();
+        // Source 0 arrives at node 2 at 300s: a 2—3 contact ending before
+        // that is unusable, one ending after is usable.
+        assert!(!row_may_use(&rows[0], &Contact::secs(2, 3, 100.0, 120.0)));
+        assert!(row_may_use(&rows[0], &Contact::secs(2, 3, 100.0, 300.0)));
+        // The endpoint's own row can always board (identity at the source).
+        assert!(row_may_use(&rows[3], &Contact::secs(2, 3, 100.0, 120.0)));
     }
 }

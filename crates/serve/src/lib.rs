@@ -48,3 +48,9 @@ pub(crate) static REJECTED: omnet_obs::Counter = omnet_obs::Counter::new("serve.
 pub(crate) static REQUESTS: omnet_obs::Counter = omnet_obs::Counter::new("serve.requests");
 pub(crate) static IN_FLIGHT_MAX: omnet_obs::Counter =
     omnet_obs::Counter::new("serve.in_flight_max");
+/// Non-empty deltas [`Engine::apply_delta`] applied.
+pub(crate) static DELTAS_APPLIED: omnet_obs::Counter =
+    omnet_obs::Counter::new("serve.deltas_applied");
+/// Memoized rows those deltas dropped (they recompute lazily).
+pub(crate) static ROWS_INVALIDATED: omnet_obs::Counter =
+    omnet_obs::Counter::new("serve.rows_invalidated");

@@ -19,7 +19,7 @@
 use crate::query::{Query, QueryError};
 use crate::wire::{self, DatasetInfo, Request, Response};
 use crate::Engine;
-use omnet_core::incremental::ContactDelta;
+use omnet_core::ContactDelta;
 use std::collections::HashMap;
 use std::io;
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
@@ -37,9 +37,10 @@ struct Shared {
     shutdown: AtomicBool,
     requests: AtomicU64,
     in_flight: AtomicUsize,
-    /// Read-half clones of live connections; shutting down their read
+    /// Read-half clones of live connections, keyed by accept order; each
+    /// connection removes its own when it ends. Shutting down their read
     /// sides is what wakes idle connection threads during the drain.
-    conns: Mutex<Vec<TcpStream>>,
+    conns: Mutex<HashMap<u64, TcpStream>>,
 }
 
 fn read_lock<T>(l: &RwLock<T>) -> RwLockReadGuard<'_, T> {
@@ -53,7 +54,7 @@ fn write_lock<T>(l: &RwLock<T>) -> RwLockWriteGuard<'_, T> {
     l.write().unwrap_or_else(|p| p.into_inner())
 }
 
-fn lock_conns(shared: &Shared) -> std::sync::MutexGuard<'_, Vec<TcpStream>> {
+fn lock_conns(shared: &Shared) -> std::sync::MutexGuard<'_, HashMap<u64, TcpStream>> {
     shared.conns.lock().unwrap_or_else(|p| p.into_inner())
 }
 
@@ -109,7 +110,7 @@ impl Server {
                 shutdown: AtomicBool::new(false),
                 requests: AtomicU64::new(0),
                 in_flight: AtomicUsize::new(0),
-                conns: Mutex::new(Vec::new()),
+                conns: Mutex::new(HashMap::new()),
             }),
         })
     }
@@ -137,22 +138,31 @@ impl Server {
     /// connections, rejects backlog stragglers with an error frame.
     pub fn run(self) -> io::Result<ServeReport> {
         self.listener.set_nonblocking(true)?;
-        let mut workers = Vec::new();
+        let mut workers: Vec<std::thread::JoinHandle<()>> = Vec::new();
         let mut connections: u64 = 0;
         let mut rejected: u64 = 0;
         while !(self.shared.shutdown.load(Ordering::Acquire) || sig::received()) {
             match self.listener.accept() {
                 Ok((stream, peer)) => {
+                    let id = connections;
                     connections += 1;
                     crate::ACCEPTED.inc();
                     // Blocking per-connection I/O; only the listener polls.
                     stream.set_nonblocking(false)?;
                     if let Ok(clone) = stream.try_clone() {
-                        lock_conns(&self.shared).push(clone);
+                        lock_conns(&self.shared).insert(id, clone);
+                    }
+                    // Join the workers whose connections already ended, so
+                    // a long-running server holds only live threads.
+                    let (done, live) = workers.into_iter().partition(|w| w.is_finished());
+                    workers = live;
+                    for worker in done {
+                        let _ = worker.join();
                     }
                     let shared = Arc::clone(&self.shared);
                     workers.push(std::thread::spawn(move || {
                         serve_conn(&shared, stream, peer);
+                        lock_conns(&shared).remove(&id);
                     }));
                 }
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
@@ -167,7 +177,7 @@ impl Server {
         self.shared.shutdown.store(true, Ordering::Release);
         // Wake threads blocked in read_frame: EOF on the read half. The
         // write halves stay open so in-flight responses still go out.
-        for conn in lock_conns(&self.shared).drain(..) {
+        for (_, conn) in lock_conns(&self.shared).drain() {
             let _ = conn.shutdown(Shutdown::Read);
         }
         for worker in workers {

@@ -164,7 +164,7 @@ fn remote_answers_match_in_process_across_datasets() {
 fn concurrent_deltas_and_queries_are_never_torn() {
     let t = toy();
     let opts = ProfileOptions::default();
-    let delta = omnet_core::incremental::ContactDelta {
+    let delta = omnet_core::ContactDelta {
         remove: vec![omnet_temporal::ContactKey(3)],
         append: vec![Contact::secs(0, 4, 500.0, 560.0)],
     };

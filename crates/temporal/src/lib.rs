@@ -22,7 +22,7 @@
 //! * [`csr`] — flat compressed-sparse-row tables, the large-N storage
 //!   layout behind the engine's arc index;
 //! * [`overlay`] — tombstone/append delta overlay over an immutable trace,
-//!   the substrate of the incremental profile engine.
+//!   the substrate contact deltas are applied to.
 //!
 //! The delay-optimal path machinery built *on top of* these types lives in
 //! `omnet-core`.

@@ -1,49 +1,36 @@
 //! Delta overlay over an immutable [`Trace`]: tombstones + append tail.
 //!
-//! The §6 experiments and the incremental §4.4 engine both edit the contact
-//! substrate — removal sweeps tombstone contacts, live traces append them —
-//! but [`Trace`] is deliberately immutable (every consumer relies on its
-//! canonical sorted form). A [`TraceOverlay`] keeps one immutable base
-//! trace plus a word-packed tombstone bitset and an append tail, merged
-//! into a fresh canonical [`Trace`] on demand and compacted into a new base
-//! when the overlay grows stale.
+//! Contact deltas edit the substrate — removals tombstone contacts, live
+//! traces append them — but [`Trace`] is deliberately immutable (every
+//! consumer relies on its canonical sorted form). A [`TraceOverlay`] keeps
+//! one immutable base trace plus a word-packed tombstone bitset and an
+//! append tail, merged into a fresh canonical [`Trace`] on demand.
 //!
 //! Every contact — base or appended — is addressed by a [`ContactKey`] that
-//! stays valid across edits and materializations (unlike a
-//! [`crate::ContactId`], which is an index into one particular trace's
-//! sorted contact vector and is renumbered by any edit). The
-//! [`TraceOverlay::materialize`] key column translates between the two
-//! worlds.
+//! stays valid across edits (unlike a [`crate::ContactId`], which is an
+//! index into one particular trace's sorted contact vector and is
+//! renumbered by any edit). The [`TraceOverlay::materialize`] key column
+//! translates between the two worlds.
 
-use crate::contact::{Contact, ContactId};
+use crate::contact::Contact;
 use crate::trace::Trace;
 
 /// A stable handle to one contact of a [`TraceOverlay`] (§6 removal
-/// methodology / incremental engine deltas).
+/// methodology / contact deltas).
 ///
-/// Keys `0..base_len` are the base trace's [`ContactId`]s; appended
+/// Keys `0..base_len` are the base trace's [`crate::ContactId`]s; appended
 /// contacts get the next keys in append order. A key survives tombstoning
-/// (removal) and materialization; [`TraceOverlay::compact`] renumbers keys
-/// and reports the mapping.
+/// (removal) and materialization.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ContactKey(pub u32);
 
-impl ContactKey {
-    /// The key of a base-trace contact (§6): base keys coincide with the
-    /// base trace's contact ids.
-    pub fn from_base(id: ContactId) -> ContactKey {
-        ContactKey(id.0)
-    }
-}
-
 /// Tombstone bitset + append tail over an immutable base [`Trace`] — the
-/// mutable face of the §6 contact-removal methodology and the substrate of
-/// the incremental §4.4 engine.
+/// mutable face of the §6 contact-removal methodology and of contact
+/// deltas.
 ///
 /// Edits are O(1); [`TraceOverlay::materialize`] merges the live contacts
 /// back into a canonical [`Trace`] (plus the parallel [`ContactKey`]
-/// column) in one stable sort, and [`TraceOverlay::compact`] folds the
-/// overlay into a fresh base once tombstones or the tail dominate.
+/// column) in one stable sort.
 #[derive(Debug, Clone)]
 pub struct TraceOverlay {
     base: Trace,
@@ -51,8 +38,6 @@ pub struct TraceOverlay {
     dead: Vec<u64>,
     /// Appended contacts, keyed `base_len + i` in append order.
     tail: Vec<Contact>,
-    /// Number of set bits in `dead`.
-    num_dead: usize,
 }
 
 impl TraceOverlay {
@@ -65,52 +50,16 @@ impl TraceOverlay {
             base,
             dead: vec![0; words],
             tail: Vec::new(),
-            num_dead: 0,
         }
-    }
-
-    /// The immutable base trace (§6): live base contacts are this trace's
-    /// contacts minus the tombstoned keys.
-    pub fn base(&self) -> &Trace {
-        &self.base
     }
 
     /// Total keys ever issued: base contacts plus appends, dead or alive
     /// (§6). Valid keys are `0..num_keys()`.
-    pub fn num_keys(&self) -> usize {
+    fn num_keys(&self) -> usize {
         self.base.num_contacts() + self.tail.len()
     }
 
-    /// Number of live (non-tombstoned) contacts (§6).
-    pub fn num_live(&self) -> usize {
-        self.num_keys() - self.num_dead
-    }
-
-    /// Number of tombstoned contacts (§6.1 — contacts removed so far).
-    pub fn num_tombstoned(&self) -> usize {
-        self.num_dead
-    }
-
-    /// True when `key` is issued and not tombstoned (§6).
-    pub fn is_live(&self, key: ContactKey) -> bool {
-        let k = key.0 as usize;
-        k < self.num_keys() && self.dead[k >> 6] & (1u64 << (k & 63)) == 0
-    }
-
-    /// The contact behind `key` (live or tombstoned); `None` when the key
-    /// was never issued (§6).
-    pub fn get(&self, key: ContactKey) -> Option<Contact> {
-        let k = key.0 as usize;
-        let base_len = self.base.num_contacts();
-        if k < base_len {
-            Some(*self.base.contact(ContactId(key.0)))
-        } else {
-            self.tail.get(k - base_len).copied()
-        }
-    }
-
-    /// Appends a contact, returning its stable key (§6 / incremental
-    /// engine append deltas).
+    /// Appends a contact, returning its stable key (§6 / append deltas).
     ///
     /// # Panics
     /// If an endpoint is outside the base's node universe, if the interval
@@ -149,13 +98,12 @@ impl TraceOverlay {
             return false;
         }
         self.dead[k >> 6] |= bit;
-        self.num_dead += 1;
         true
     }
 
     /// Iterates the live contacts with their keys: base contacts in base
     /// order, then the tail in append order (§6).
-    pub fn live(&self) -> impl Iterator<Item = (ContactKey, Contact)> + '_ {
+    fn live(&self) -> impl Iterator<Item = (ContactKey, Contact)> + '_ {
         self.base
             .contacts()
             .iter()
@@ -168,7 +116,7 @@ impl TraceOverlay {
 
     /// Merges the live contacts into a canonical [`Trace`] plus the
     /// parallel key column: `keys[i]` is the stable key of contact
-    /// `ContactId(i)` of the returned trace (§6 / incremental engine).
+    /// `ContactId(i)` of the returned trace (§6).
     ///
     /// The trace is byte-identical to
     /// `base.with_contacts(live contacts in key order)` — in particular,
@@ -184,20 +132,6 @@ impl TraceOverlay {
         let contacts: Vec<Contact> = tagged.iter().map(|&(c, _)| c).collect();
         let keys: Vec<ContactKey> = tagged.iter().map(|&(_, k)| k).collect();
         (self.base.with_contacts(contacts), keys)
-    }
-
-    /// Folds the overlay into a fresh base: the materialized trace becomes
-    /// the new base, tombstones and tail reset, and keys are renumbered to
-    /// `0..num_live()` (§6).
-    ///
-    /// Returns the renumbering as the old-key column of the new base:
-    /// `old[i]` is the pre-compaction key of new key `i`. Keys tombstoned
-    /// before compaction are retired and never reissued by this overlay's
-    /// new numbering.
-    pub fn compact(&mut self) -> Vec<ContactKey> {
-        let (trace, old_keys) = self.materialize();
-        *self = TraceOverlay::new(trace);
-        old_keys
     }
 }
 
@@ -234,14 +168,10 @@ mod tests {
     }
 
     #[test]
-    fn remove_is_idempotent_and_counted() {
+    fn remove_is_idempotent() {
         let mut ov = TraceOverlay::new(toy());
         assert!(ov.remove(ContactKey(1)));
         assert!(!ov.remove(ContactKey(1)));
-        assert_eq!(ov.num_tombstoned(), 1);
-        assert_eq!(ov.num_live(), 3);
-        assert!(!ov.is_live(ContactKey(1)));
-        assert!(ov.is_live(ContactKey(0)));
         let (m, keys) = ov.materialize();
         assert_eq!(m.num_contacts(), 3);
         assert!(!keys.contains(&ContactKey(1)));
@@ -252,17 +182,12 @@ mod tests {
         let mut ov = TraceOverlay::new(toy());
         let k = ov.append(Contact::secs(2, 3, 50.0, 80.0));
         assert_eq!(k, ContactKey(4));
-        assert!(ov.is_live(k));
-        assert_eq!(ov.get(k), Some(Contact::secs(2, 3, 50.0, 80.0)));
         let (m, keys) = ov.materialize();
         assert_eq!(m.num_contacts(), 5);
         // The appended contact sorts between start=0 and start=100.
         assert_eq!(m.contacts()[1], Contact::secs(2, 3, 50.0, 80.0));
-        assert_eq!(keys[1], k);
-        // Key column matches the contacts behind the keys.
-        for (i, &key) in keys.iter().enumerate() {
-            assert_eq!(ov.get(key), Some(m.contacts()[i]));
-        }
+        // Key column: base keys are base contact ids, the tail follows.
+        assert_eq!(keys, [0, 4, 1, 2, 3].map(ContactKey));
     }
 
     #[test]
@@ -284,26 +209,6 @@ mod tests {
     }
 
     #[test]
-    fn compact_renumbers_and_reports_old_keys() {
-        let mut ov = TraceOverlay::new(toy());
-        ov.remove(ContactKey(0));
-        let appended = ov.append(Contact::secs(2, 3, 50.0, 80.0));
-        let before = ov.materialize();
-        let old = ov.compact();
-        assert_eq!(ov.num_tombstoned(), 0);
-        assert_eq!(ov.num_live(), 4);
-        assert_eq!(ov.num_keys(), 4);
-        // New base == pre-compaction materialization; old-key column maps
-        // each new id to the key it had before.
-        assert_eq!(ov.base().contacts(), before.0.contacts());
-        assert_eq!(old, before.1);
-        assert!(old.contains(&appended));
-        let (after, keys) = ov.materialize();
-        assert_eq!(after.contacts(), before.0.contacts());
-        assert_eq!(keys, (0..4).map(ContactKey).collect::<Vec<_>>());
-    }
-
-    #[test]
     #[should_panic(expected = "outside the observation window")]
     fn append_rejects_out_of_window() {
         let mut ov = TraceOverlay::new(toy());
@@ -322,7 +227,7 @@ mod tests {
         let mut ov = TraceOverlay::new(toy());
         let k = ov.append(Contact::secs(2, 3, 50.0, 80.0));
         assert!(ov.remove(k));
-        assert!(!ov.is_live(k));
+        assert!(!ov.remove(k));
         let (m, _) = ov.materialize();
         assert_eq!(m.contacts(), toy().contacts());
     }

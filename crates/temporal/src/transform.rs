@@ -6,7 +6,7 @@
 //! comparable before and after (exactly how the paper compares Figures
 //! 10–12 against the original data set).
 
-use crate::contact::{Contact, ContactId, Interval};
+use crate::contact::{Contact, Interval};
 use crate::node::NodeId;
 use crate::time::{Dur, Time};
 use crate::trace::Trace;
@@ -14,38 +14,12 @@ use rand::Rng;
 
 /// Removes each contact independently with probability `p` (§6.1, Fig. 10).
 pub fn remove_random<R: Rng>(trace: &Trace, p: f64, rng: &mut R) -> Trace {
-    remove_ids(trace, &remove_random_draw(trace, p, rng))
-}
-
-/// The random draw of [`remove_random`], reported as the removed contact
-/// ids instead of applied (§6.1) — delta consumers (the incremental
-/// profile engine) feed the ids to a removal delta while batch consumers
-/// apply them with [`remove_ids`]. Consumes exactly the same RNG stream as
-/// `remove_random`, so for any `(trace, p, seed)` the two agree on the
-/// kept set.
-pub fn remove_random_draw<R: Rng>(trace: &Trace, p: f64, rng: &mut R) -> Vec<ContactId> {
     assert!((0.0..=1.0).contains(&p), "removal probability out of range");
-    (0..trace.num_contacts())
-        .filter(|_| rng.gen::<f64>() < p)
-        .map(|i| ContactId(i as u32))
-        .collect()
-}
-
-/// Removes the listed contacts (§6.1) — the deterministic half of
-/// [`remove_random`]. Ids out of range or duplicated are ignored.
-pub fn remove_ids(trace: &Trace, ids: &[ContactId]) -> Trace {
-    let mut drop = vec![false; trace.num_contacts()];
-    for id in ids {
-        if let Some(d) = drop.get_mut(id.0 as usize) {
-            *d = true;
-        }
-    }
     let kept = trace
         .contacts()
         .iter()
-        .enumerate()
-        .filter(|&(i, _)| !drop[i])
-        .map(|(_, c)| *c)
+        .filter(|_| rng.gen::<f64>() >= p)
+        .copied()
         .collect();
     trace.with_contacts(kept)
 }
@@ -216,27 +190,6 @@ mod tests {
         assert_eq!(r.num_nodes(), 4);
         assert_eq!(r.num_internal(), 3);
         assert_eq!(r.span(), t.span());
-    }
-
-    #[test]
-    fn remove_random_split_agrees_with_combined() {
-        let t = toy();
-        for seed in 0..32u64 {
-            for p in [0.0, 0.3, 0.7, 1.0] {
-                let mut rng = StdRng::seed_from_u64(seed);
-                let combined = remove_random(&t, p, &mut rng);
-                let mut rng = StdRng::seed_from_u64(seed);
-                let drawn = remove_random_draw(&t, p, &mut rng);
-                assert_eq!(remove_ids(&t, &drawn).contacts(), combined.contacts());
-            }
-        }
-    }
-
-    #[test]
-    fn remove_ids_ignores_junk() {
-        let t = toy();
-        let r = remove_ids(&t, &[ContactId(1), ContactId(1), ContactId(99)]);
-        assert_eq!(r.num_contacts(), 3);
     }
 
     #[test]

@@ -14,13 +14,17 @@
 
 use omnet_core::{
     cross_check, AllPairsProfiles, Arcs, ContactDelta, CrossCheckOptions, DeliveryFunction,
-    HopBound, IncrementalProfiles, ProfileOptions, SourceProfiles,
+    HopBound, ProfileOptions, SourceProfiles,
 };
+use omnet_serve::{Engine, Query, QueryError};
 use omnet_temporal::invariant::{self, InvariantViolation};
-use omnet_temporal::{Contact, ContactSeq, NodeId, Time, Trace, TraceBuilder};
+use omnet_temporal::{
+    Contact, ContactKey, ContactSeq, NodeId, Time, Trace, TraceBuilder, TraceOverlay,
+};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::sync::Arc;
 
 /// A random small trace: up to `max_nodes` devices, `max_contacts`
 /// contacts with start times in `[0, horizon)`.
@@ -410,37 +414,67 @@ proptest! {
         }
     }
 
-    /// The incremental engine's maintained rows are byte-identical (as
-    /// `SourceProfileParts`) to a fresh batch compute of the merged trace
-    /// after every step of a random append/remove delta sequence — with
-    /// occasional overlay compactions interleaved — for both store depths.
+    /// A trace-backed serve engine with memoized rows answers every
+    /// `delivery` (all pairs, several creation times, bounds 1, 2 and ∞)
+    /// and a `diameter` query exactly like a fresh engine over the same
+    /// edits replayed through `TraceOverlay`, after every step of a random
+    /// delta sequence. A delta carrying one invalid entry, or quoting a
+    /// stale epoch, is rejected whole: answers and epoch stay put.
     #[test]
-    fn incremental_engine_matches_fresh_batch_after_delta_sequences(
+    fn serve_delta_sequences_match_fresh_engine(
         trace in trace_strategy(),
         seed in 0u64..u64::MAX,
     ) {
         for opts in knob_combos() {
             let mut rng = StdRng::seed_from_u64(seed);
-            let mut engine = IncrementalProfiles::new(&trace, opts);
+            let mut reference = trace.clone();
+            let mut engine = Engine::from_trace(Arc::new(trace.clone()), opts, "t");
+            let queries = serve_probe_queries(&trace);
+            // Answering every pair memoizes every row before each delta.
+            let mut before = engine.answer_batch(&queries);
             for step in 0..4usize {
-                let delta = random_delta(&mut rng, &engine);
-                engine.apply(&delta);
-                if rng.gen::<f64>() < 0.25 {
-                    engine.compact();
-                }
-                let n = engine.trace().num_nodes();
-                let fresh = AllPairsProfiles::compute_range(engine.trace(), opts, 0..n);
-                prop_assert_eq!(engine.rows().len(), fresh.len());
-                for (e, f) in engine.rows().iter().zip(&fresh) {
+                let epoch = engine.key_epoch();
+                let delta = random_delta(&mut rng, &reference);
+                if rng.gen::<f64>() < 0.5 {
+                    let bad = with_invalid_entry(&mut rng, &reference, &delta);
+                    prop_assert!(engine.apply_delta(&bad, epoch).is_err());
+                    if !delta.is_empty() {
+                        let stale = engine.apply_delta(&delta, epoch + 1);
+                        prop_assert!(
+                            matches!(stale, Err(QueryError::StaleKeyEpoch { .. })),
+                            "{:?}",
+                            stale
+                        );
+                    }
+                    prop_assert_eq!(engine.key_epoch(), epoch);
                     prop_assert_eq!(
-                        e.to_parts(),
-                        f.to_parts(),
-                        "source {} diverged after step {} with {:?}",
-                        e.source(),
-                        step,
-                        opts
+                        &engine.answer_batch(&queries),
+                        &before,
+                        "rejected delta moved an answer at step {}",
+                        step
                     );
                 }
+                let applied = engine
+                    .apply_delta(&delta, epoch)
+                    .map_err(|e| TestCaseError::fail(format!("valid delta refused: {e}")))?;
+                let mut overlay = TraceOverlay::new(reference);
+                for &k in &delta.remove {
+                    overlay.remove(k);
+                }
+                for &c in &delta.append {
+                    overlay.append(c);
+                }
+                reference = overlay.materialize().0;
+                let bump = u64::from(!delta.is_empty());
+                prop_assert_eq!(applied.key_epoch, epoch + bump);
+                prop_assert_eq!(applied.num_contacts, reference.num_contacts());
+                let fresh = Engine::from_trace(Arc::new(reference.clone()), opts, "t");
+                let got = engine.answer_batch(&queries);
+                let want = fresh.answer_batch(&queries);
+                for ((q, g), w) in queries.iter().zip(&got).zip(&want) {
+                    prop_assert_eq!(g, w, "{:?} after step {} with {:?}", q, step, opts);
+                }
+                before = got;
             }
         }
     }
@@ -481,18 +515,51 @@ proptest! {
     }
 }
 
-/// A random delta against the engine's current substrate: each live
-/// contact tombstoned with probability 0.3 (occasionally with a duplicate
-/// key thrown in), plus up to two appended contacts drawn inside the
-/// observation window.
-fn random_delta(rng: &mut StdRng, engine: &IncrementalProfiles) -> ContactDelta {
-    let trace = engine.trace();
+/// Every `delivery` query of the serve-delta test — all ordered pairs, at
+/// the window's start, middle and end, under bounds 1, 2 and ∞ — plus one
+/// `diameter` query last.
+fn serve_probe_queries(trace: &Trace) -> Vec<Query> {
+    let n = trace.num_nodes();
+    let span = trace.span();
+    let mid = Time::secs((span.start.as_secs() + span.end.as_secs()) / 2.0);
+    let mut queries = Vec::new();
+    for src in 0..n {
+        for dst in 0..n {
+            for at in [span.start, mid, span.end] {
+                for bound in [
+                    HopBound::AtMost(1),
+                    HopBound::AtMost(2),
+                    HopBound::Unlimited,
+                ] {
+                    queries.push(Query::Delivery {
+                        src,
+                        dst,
+                        at,
+                        bound,
+                    });
+                }
+            }
+        }
+    }
+    queries.push(Query::Diameter {
+        eps: 0.05,
+        max_hops: 4,
+        internal_only: false,
+    });
+    queries
+}
+
+/// A random delta against `trace`, keyed by its current contact ids: each
+/// contact removed with probability 0.3 (occasionally with a duplicate key
+/// thrown in), plus up to two appended contacts inside the observation
+/// window.
+fn random_delta(rng: &mut StdRng, trace: &Trace) -> ContactDelta {
     let span = trace.span();
     let n = trace.num_nodes();
     let mut delta = ContactDelta::default();
-    for (key, _) in engine.overlay().live() {
+    for k in 0..trace.num_contacts() as u32 {
         if rng.gen::<f64>() < 0.3 {
-            delta.remove.push(key);
+            delta.remove.push(ContactKey(k));
         }
     }
     if let Some(&k) = delta.remove.first() {
@@ -500,18 +567,43 @@ fn random_delta(rng: &mut StdRng, engine: &IncrementalProfiles) -> ContactDelta 
             delta.remove.push(k); // duplicate — removal must stay idempotent
         }
     }
-    if span.start.is_finite() && span.end.is_finite() {
-        let (lo, hi) = (span.start.as_secs(), span.end.as_secs());
-        for _ in 0..rng.gen_range(0..3) {
-            let u = rng.gen_range(0..n);
-            let v = rng.gen_range(0..n);
-            if u == v {
-                continue;
-            }
-            let s = if hi > lo { rng.gen_range(lo..hi) } else { lo };
-            let e = (s + rng.gen_range(0.0f64..50.0)).min(hi);
-            delta.append.push(Contact::secs(u, v, s, e));
+    let (lo, hi) = (span.start.as_secs(), span.end.as_secs());
+    for _ in 0..rng.gen_range(0..3) {
+        let u = rng.gen_range(0..n);
+        let v = rng.gen_range(0..n);
+        if u == v {
+            continue;
         }
+        let s = if hi > lo { rng.gen_range(lo..hi) } else { lo };
+        let e = (s + rng.gen_range(0.0f64..50.0)).min(hi);
+        delta.append.push(Contact::secs(u, v, s, e));
     }
     delta
+}
+
+/// `delta` with one invalid entry added: a key past the contact count, an
+/// append with an endpoint outside the node universe, or an append that
+/// ends after the observation window.
+fn with_invalid_entry(rng: &mut StdRng, trace: &Trace, delta: &ContactDelta) -> ContactDelta {
+    let mut bad = delta.clone();
+    let span = trace.span();
+    let n = trace.num_nodes();
+    match rng.gen_range(0..3) {
+        0 => {
+            let key = ContactKey(trace.num_contacts() as u32 + rng.gen_range(0u32..3));
+            let at = rng.gen_range(0..=bad.remove.len());
+            bad.remove.insert(at, key);
+        }
+        1 => {
+            let c = Contact::secs(0, n, span.start.as_secs(), span.start.as_secs());
+            let at = rng.gen_range(0..=bad.append.len());
+            bad.append.insert(at, c);
+        }
+        _ => {
+            let end = span.end.as_secs();
+            let at = rng.gen_range(0..=bad.append.len());
+            bad.append.insert(at, Contact::secs(0, 1, end, end + 10.0));
+        }
+    }
+    bad
 }
