@@ -34,11 +34,25 @@ const INVOCATIONS: &[&str] = &[
 const NO_TRACE: &[&str] = &["generate", "query", "serve"];
 
 const IDS: &[&str] = &["0", "1", "2", "3", "4", "5"];
-const BAD_IDS: &[&str] = &["-1", "0.5", "4294967295", "x", ""];
+const BAD_IDS: &[&str] = &["-1", "0.5", "1048576", "4000000000", "4294967295", "x", ""];
 /// Ascending, so a row drawing `s <= e` indices is a valid interval.
 const TIMES: &[&str] = &["0", "0.5", "1", "60", "120", "500", "1000", "1e9"];
 const BAD_TIMES: &[&str] = &["-5", "-0", "nan", "inf", "-inf", "1e400", "x"];
-const COUNTS: &[&str] = &["0", "1", "2", "4", "6", "-1", "x", ""];
+/// Small universes, and universes past `omnet_temporal::MAX_NODES` up to
+/// `u32::MAX`, which the reader must refuse before allocating for them.
+const COUNTS: &[&str] = &[
+    "0",
+    "1",
+    "2",
+    "4",
+    "6",
+    "-1",
+    "x",
+    "",
+    "1048577",
+    "4000000000",
+    "4294967295",
+];
 
 fn any_byte() -> impl Strategy<Value = u8> {
     (0u16..256).prop_map(|b| b as u8)
@@ -133,6 +147,45 @@ fn invocations_cover_every_trace_reading_subcommand() {
             .iter()
             .any(|i| i.split_whitespace().next() == Some(s.name));
         assert_eq!(covered, !NO_TRACE.contains(&s.name), "{}", s.name);
+    }
+}
+
+/// A universe past `MAX_NODES`, declared by a header or implied by a row,
+/// is a trace syntax error (exit 5) for every subcommand that reads a trace
+/// file — never an allocation sized by it. (`convert` reads a lenient
+/// listing instead, whose ids it renumbers densely.)
+#[test]
+fn oversized_universes_are_syntax_errors() {
+    let limit = omnet_temporal::MAX_NODES;
+    for text in [
+        "# nodes 4000000000\n0 1 0 10\n".to_string(),
+        format!("# nodes {}\n0 1 0 10\n", limit + 1),
+        "0 4000000000 0 10\n".to_string(),
+        format!("0 1 0 10\n{limit} 2 0 10\n"),
+    ] {
+        let dir = case_dir();
+        let trace = dir.join("huge.trace");
+        std::fs::write(&trace, &text).unwrap();
+        for (i, invocation) in INVOCATIONS.iter().enumerate() {
+            if invocation.starts_with("convert ") {
+                continue;
+            }
+            let argv: Vec<String> = invocation
+                .replace("{t}", &trace.display().to_string())
+                .replace("{o}", &dir.join(format!("out{i}")).display().to_string())
+                .split_whitespace()
+                .map(String::from)
+                .collect();
+            match omnet_cli::run(&argv) {
+                Err(e @ CliError::Io { .. }) => {
+                    assert_eq!(e.exit_code(), 5);
+                    assert!(e.to_string().contains("limit"), "{invocation}: {e}");
+                }
+                Err(e) => panic!("`omnet {invocation}` on {text:?}: {e}"),
+                Ok(_) => panic!("`omnet {invocation}` accepted {text:?}"),
+            }
+        }
+        std::fs::remove_dir_all(&dir).ok();
     }
 }
 

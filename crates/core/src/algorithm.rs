@@ -48,7 +48,7 @@
 
 use crate::delivery::{self, DeliveryFunction};
 use omnet_obs::Counter;
-use omnet_temporal::{invariant, ContactId, Csr, Interval, LdEa, NodeId, Trace};
+use omnet_temporal::{invariant, ContactId, Csr, Interval, LdEa, NodeId, Time, Trace};
 use std::borrow::Cow;
 use std::fmt;
 use std::ops::Range;
@@ -349,6 +349,12 @@ impl ProfileScratch {
 /// One induction level's stored delta runs: `(dest, added pairs)`,
 /// ascending by destination (§4.4). Level 0 (identity at the source) is
 /// implicit.
+///
+/// Every run is a non-empty frontier: `ld` and `ea` both strictly
+/// increasing. The hop-bounded reads rely on it — the first pair of a run
+/// with `ld >= t` carries that run's minimum available `ea` — so the
+/// induction checks it where it stores a level (under `strict-invariants`)
+/// and [`SourceProfiles::from_parts`] rejects persisted runs that break it.
 pub(crate) type LevelRuns = Vec<(u32, Box<[LdEa]>)>;
 
 /// What [`SourceProfiles::induct_core`] leaves behind besides the frontiers
@@ -566,12 +572,16 @@ impl SourceProfiles {
                 break;
             }
             if k <= opts.store_levels {
-                levels.push(
-                    delta_index
+                let level: LevelRuns = delta_index
+                    .iter()
+                    .map(|&(t, lo, hi)| (t, arena[lo as usize..hi as usize].into()))
+                    .collect();
+                invariant::enforce(|| {
+                    level
                         .iter()
-                        .map(|&(t, lo, hi)| (t, arena[lo as usize..hi as usize].into()))
-                        .collect(),
-                );
+                        .try_for_each(|(_, run)| invariant::validate_frontier(run))
+                });
+                levels.push(level);
             }
         }
 
@@ -663,6 +673,10 @@ impl SourceProfiles {
     /// which is exact whenever `k >= converged_at` and an upper bound
     /// otherwise. A stored `AtMost(k)` query reconstructs the frontier as
     /// the Pareto union of the level deltas `0..=k` and returns it owned.
+    ///
+    /// This is the reconstructing specification of a hop-bounded read. The
+    /// hot paths ([`SourceProfiles::delivery`], [`SourceProfiles::min_hops`]
+    /// and the §4.1 curves) walk the level runs instead and never build it.
     pub fn profile(&self, dest: NodeId, bound: HopBound) -> Cow<'_, DeliveryFunction> {
         match bound {
             HopBound::Unlimited => Cow::Borrowed(&self.unlimited[dest.index()]),
@@ -684,14 +698,55 @@ impl SourceProfiles {
         }
     }
 
+    /// The stored runs of `dest`, one slice per level `1..=k` (clamped to
+    /// the stored levels), empty where that level added nothing for it.
+    pub(crate) fn level_runs(&self, dest: NodeId, k: usize) -> impl Iterator<Item = &[LdEa]> {
+        self.levels[..k.min(self.levels.len())]
+            .iter()
+            .map(move |level| {
+                level
+                    .binary_search_by_key(&dest.0, |(d, _)| *d)
+                    .map_or(&[][..], |i| &level[i].1[..])
+            })
+    }
+
     /// Optimal delivery time to `dest` for a message created at `t`.
-    pub fn delivery(
-        &self,
-        dest: NodeId,
-        t: omnet_temporal::Time,
-        bound: HopBound,
-    ) -> omnet_temporal::Time {
-        self.profile(dest, bound).delivery(t)
+    ///
+    /// A stored `AtMost(k)` is answered without building its frontier: the
+    /// delivery of a union of pair sets is the minimum of each set's
+    /// delivery, and each level run is a frontier, so it is the minimum of
+    /// one binary search per run `0..=k` — identical to
+    /// `self.profile(dest, bound).delivery(t)`.
+    pub fn delivery(&self, dest: NodeId, t: Time, bound: HopBound) -> Time {
+        match bound {
+            HopBound::AtMost(k) if k <= self.levels.len() => {
+                // Level 0: the identity delivers at once at the source.
+                let identity = if dest == self.source { t } else { Time::INF };
+                self.level_runs(dest, k)
+                    .map(|run| delivery::frontier_delivery(run, t))
+                    .fold(identity, Time::min)
+            }
+            _ => self.unlimited[dest.index()].delivery(t),
+        }
+    }
+
+    /// The smallest stored hop class `k` whose `AtMost(k)` delivery to
+    /// `dest` at `t` equals the unbounded one, found in one pass over the
+    /// prefix minima of the level runs. `None` when `dest` is unreachable
+    /// at `t` or no stored class reaches the unbounded arrival.
+    pub fn min_hops(&self, dest: NodeId, t: Time) -> Option<usize> {
+        let arrival = self.unlimited[dest.index()].delivery(t);
+        if arrival == Time::INF {
+            return None;
+        }
+        let mut best = if dest == self.source { t } else { Time::INF };
+        for (k, run) in self.level_runs(dest, self.levels.len()).enumerate() {
+            best = best.min(delivery::frontier_delivery(run, t));
+            if best == arrival {
+                return Some(k + 1);
+            }
+        }
+        None
     }
 
     /// The level after which nothing changed: every path class `>= this`
@@ -811,10 +866,8 @@ impl SourceProfiles {
         for (d, pairs) in &parts.tail {
             acc[*d as usize].extend_from_slice(pairs);
         }
-        let unlimited: Vec<DeliveryFunction> = acc
-            .iter()
-            .map(|pairs| DeliveryFunction::from_pairs(pairs.clone()))
-            .collect();
+        let unlimited: Vec<DeliveryFunction> =
+            acc.into_iter().map(DeliveryFunction::from_pairs).collect();
 
         Ok(SourceProfiles {
             source: parts.source,

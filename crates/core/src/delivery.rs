@@ -83,7 +83,9 @@ impl DeliveryFunction {
     /// `t` — the summary an optimal path for a message created at `t`
     /// follows — or `None` when no path remains.
     pub fn pair_at(&self, t: Time) -> Option<LdEa> {
-        self.pairs.iter().find(|p| p.ld >= t).copied()
+        self.pairs
+            .get(self.pairs.partition_point(|p| p.ld < t))
+            .copied()
     }
 
     /// Number of optimal paths represented (the paper's measure of how many
@@ -99,12 +101,7 @@ impl DeliveryFunction {
 
     /// Optimal delivery time of a message created at `t` (Eq. 3).
     pub fn delivery(&self, t: Time) -> Time {
-        // First pair with ld >= t: since `ea` increases with `ld`, it is the
-        // best available one.
-        match self.pairs.iter().position(|p| p.ld >= t) {
-            Some(i) => t.max(self.pairs[i].ea),
-            None => Time::INF,
-        }
+        frontier_delivery(&self.pairs, t)
     }
 
     /// Optimal delay `del(t) − t`; `Dur::INF` when no path remains.
@@ -362,18 +359,36 @@ impl DeliveryFunction {
     /// the cost is `O(frontier + grid + ramp points)` instead of
     /// `O(frontier × grid)`.
     pub fn success_curve(&self, window: Interval, grid: &[Dur]) -> Vec<f64> {
+        let mut out = Vec::new();
+        self.success_curve_into(window, grid, &mut Vec::new(), &mut out);
+        out
+    }
+
+    /// Allocation-free form of [`DeliveryFunction::success_curve`]: refills
+    /// `out` with the curve (one value per grid point) and uses `suffix` as
+    /// scratch, so a caller evaluating many frontiers reuses both buffers.
+    pub fn success_curve_into(
+        &self,
+        window: Interval,
+        grid: &[Dur],
+        suffix: &mut Vec<f64>,
+        out: &mut Vec<f64>,
+    ) {
         debug_assert!(grid.windows(2).all(|w| w[0] <= w[1]), "grid must ascend");
+        out.clear();
         let total = window.duration().as_secs();
-        let m = grid.len();
         if total <= 0.0 {
             let d = self.delay(window.start);
-            return grid
-                .iter()
-                .map(|&x| if d <= x { 1.0 } else { 0.0 })
-                .collect();
+            out.extend(grid.iter().map(|&x| if d <= x { 1.0 } else { 0.0 }));
+            return;
         }
-        let mut ramp = vec![0.0f64; m]; // direct contributions
-        let mut full_suffix = vec![0.0f64; m + 1]; // suffix-add of full lengths
+        // `out` first collects the direct (ramp) contributions; `suffix`
+        // holds the suffix-adds of full segment lengths.
+        out.resize(grid.len(), 0.0);
+        let ramp = out;
+        let full_suffix = suffix;
+        full_suffix.clear();
+        full_suffix.resize(grid.len() + 1, 0.0);
         let mut prev_ld = Time::NEG_INF;
         for p in &self.pairs {
             let seg_lo = prev_ld.max(window.start);
@@ -401,12 +416,10 @@ impl DeliveryFunction {
             }
         }
         let mut acc = 0.0f64;
-        let mut out = vec![0.0f64; m];
-        for i in 0..m {
-            acc += full_suffix[i];
-            out[i] = ((ramp[i] + acc) / total).clamp(0.0, 1.0);
+        for (r, &full) in ramp.iter_mut().zip(full_suffix.iter()) {
+            acc += full;
+            *r = ((*r + acc) / total).clamp(0.0, 1.0);
         }
-        out
     }
 
     /// Checks the frontier invariant (for tests and debug assertions).
@@ -414,6 +427,16 @@ impl DeliveryFunction {
         self.pairs
             .windows(2)
             .all(|w| w[0].ld < w[1].ld && w[0].ea < w[1].ea)
+    }
+}
+
+/// Eq. (3) over a frontier slice (`ld` and `ea` both strictly increasing):
+/// the first pair with `ld >= t` carries the minimum `ea` of every pair
+/// still available at `t`, so one binary search answers it.
+pub(crate) fn frontier_delivery(pairs: &[LdEa], t: Time) -> Time {
+    match pairs.get(pairs.partition_point(|p| p.ld < t)) {
+        Some(p) => t.max(p.ea),
+        None => Time::INF,
     }
 }
 

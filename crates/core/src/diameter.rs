@@ -10,6 +10,7 @@
 //! integral over start times, not a sampled estimate.
 
 use crate::algorithm::{Arcs, HopBound, ProfileOptions, SourceProfiles};
+use crate::delivery::DeliveryFunction;
 use omnet_temporal::{Dur, Interval, NodeId, Time, Trace};
 
 /// What to aggregate and how when building the §4.1 success curves.
@@ -289,6 +290,15 @@ fn validated_weights(opts: &CurveOptions, windows: &[Interval]) -> Vec<f64> {
 /// One source's contribution to the curves: the length-weighted success
 /// measure of every `(dest, bound, window, grid point)`, flattened as
 /// `acc[bound * grid_len + grid_index]`.
+///
+/// Each destination's hop classes are answered by one forward walk over
+/// its level runs: a running frontier absorbs level `k`'s run, and the
+/// curves (one per window) are re-evaluated only where that frontier
+/// changed; every other class reuses the previous evaluation. Bounds
+/// beyond the stored levels read the unbounded frontier. Each
+/// `(dest, bound)` still adds its per-window values into its own slot in
+/// the same destination-then-window order, so the sums are bitwise those
+/// of evaluating `prof.profile(d, bound)` per class.
 fn source_partial(
     prof: &SourceProfiles,
     nodes: &[NodeId],
@@ -299,15 +309,71 @@ fn source_partial(
     let ng = opts.grid.len();
     let s = prof.source();
     let mut acc = vec![0.0f64; opts.bounds.len() * ng];
+    // Bound indices by the level whose frontier answers them; `None` (the
+    // unbounded frontier) sorts after every stored level.
+    let mut order: Vec<(Option<usize>, usize)> = opts
+        .bounds
+        .iter()
+        .enumerate()
+        .map(|(bi, b)| match *b {
+            HopBound::AtMost(k) if k <= prof.stored_levels() => (Some(k), bi),
+            _ => (None, bi),
+        })
+        .collect();
+    order.sort_by_key(|&(k, _)| (k.is_none(), k));
+    let deepest = order.iter().filter_map(|&(k, _)| k).max().unwrap_or(0);
+
+    let mut frontier = DeliveryFunction::empty();
+    let (mut run, mut added, mut merged) = (Vec::new(), Vec::new(), Vec::new());
+    let mut suffix = Vec::new();
+    let mut curves: Vec<Vec<f64>> = vec![Vec::new(); windows.len()];
     for &d in nodes {
         if d == s {
             continue;
         }
-        for (bi, &bound) in opts.bounds.iter().enumerate() {
-            let f = prof.profile(d, bound);
-            for (w, &weight) in windows.iter().zip(weights) {
-                let curve = f.success_curve(*w, &opts.grid);
-                for (gi, v) in curve.into_iter().enumerate() {
+        frontier.clear();
+        let mut runs = prof.level_runs(d, deepest);
+        let mut level = 0;
+        let unbounded = prof.profile(d, HopBound::Unlimited);
+        // Which frontier `curves` was evaluated on: none yet, the walked
+        // one (`Some(false)`) or the unbounded one (`Some(true)`). `zero`
+        // marks an all-zero evaluation, whose adds would leave every slot
+        // bitwise unchanged (the sums start at +0.0), so they are skipped.
+        let mut held: Option<bool> = None;
+        let mut zero = false;
+        for &(k, bi) in &order {
+            let stale = match k {
+                Some(k) => {
+                    let mut changed = held.is_none();
+                    while level < k {
+                        level += 1;
+                        run.clear();
+                        run.extend_from_slice(runs.next().unwrap_or_default());
+                        frontier.absorb_compacted(&mut run, &mut added, &mut merged);
+                        changed |= !added.is_empty();
+                    }
+                    changed
+                }
+                // The walked frontier often already is the unbounded one.
+                None => match held {
+                    Some(false) => frontier != *unbounded,
+                    Some(true) => false,
+                    None => true,
+                },
+            };
+            if stale {
+                let f = if k.is_some() { &frontier } else { &*unbounded };
+                for (curve, w) in curves.iter_mut().zip(windows) {
+                    f.success_curve_into(*w, &opts.grid, &mut suffix, curve);
+                }
+                zero = curves.iter().flatten().all(|&v| v == 0.0);
+                held = Some(k.is_none());
+            }
+            if zero {
+                continue;
+            }
+            for (curve, &weight) in curves.iter().zip(weights) {
+                for (gi, &v) in curve.iter().enumerate() {
                     acc[bi * ng + gi] += weight * v;
                 }
             }

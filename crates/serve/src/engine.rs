@@ -273,16 +273,20 @@ impl Engine {
         self.check_node(src)?;
         self.check_node(dst)?;
         let row = self.row(src)?;
-        let f = row.get().profile(NodeId(dst), bound);
-        let arrival = f.delivery(at);
+        let arrival = row.get().delivery(NodeId(dst), at, bound);
+        let reachable = arrival != Time::INF;
         Ok(DeliveryAnswer {
             src,
             dst,
             at,
             bound,
             arrival,
-            delay: f.delay(at),
-            reachable: arrival != Time::INF,
+            delay: if reachable {
+                arrival.since(at)
+            } else {
+                Dur::INF
+            },
+            reachable,
         })
     }
 
@@ -299,17 +303,13 @@ impl Engine {
         // route without the trace.
         let row = self.row(src)?;
         let prof = row.get();
-        let arrival = prof.profile(NodeId(dst), HopBound::Unlimited).delivery(at);
+        let arrival = prof.delivery(NodeId(dst), at, HopBound::Unlimited);
         if arrival == Time::INF {
             return Ok(unreachable_path(src, dst, at));
         }
-        let mut hops = prof.converged_at();
-        for k in 1..=prof.stored_levels() {
-            if prof.profile(NodeId(dst), HopBound::AtMost(k)).delivery(at) == arrival {
-                hops = k;
-                break;
-            }
-        }
+        let hops = prof
+            .min_hops(NodeId(dst), at)
+            .unwrap_or(prof.converged_at());
         Ok(PathAnswer {
             src,
             dst,

@@ -14,12 +14,20 @@
 //!
 //! Headers are optional: without them the universe and window are inferred
 //! from the contacts, exactly as [`crate::trace::TraceBuilder`] would.
+//! Either way the universe may not exceed [`MAX_NODES`].
 
 use crate::contact::{Contact, Interval};
 use crate::trace::{BuildError, Trace, TraceBuilder};
 use std::fmt::Write as _;
 use std::io::{BufRead, BufReader, Read};
 use std::path::{Path, PathBuf};
+
+/// The largest node universe a trace file (§2 contact-trace format) may
+/// declare (`# nodes`) or imply (its largest node id plus one) — ten times
+/// the largest preset. Every consumer allocates per node, so the reader
+/// refuses a larger universe with a syntax error before anything is sized
+/// by it.
+pub const MAX_NODES: u32 = 1 << 20;
 
 /// Unified error type for every trace I/O entry point (§2 dataset import).
 ///
@@ -125,7 +133,14 @@ pub fn from_reader<R: Read>(reader: R) -> Result<Trace, IoError> {
             let mut it = rest.split_whitespace();
             match it.next() {
                 Some("nodes") => {
-                    nodes = Some(parse_field(it.next(), lineno, "node count")?);
+                    let n = parse_field(it.next(), lineno, "node count")?;
+                    if n > MAX_NODES {
+                        return Err(syntax(
+                            lineno,
+                            &format!("node count above the {MAX_NODES}-node limit"),
+                        ));
+                    }
+                    nodes = Some(n);
                 }
                 Some("internal") => {
                     internal = Some((parse_field(it.next(), lineno, "internal count")?, lineno));
@@ -158,6 +173,12 @@ pub fn from_reader<R: Read>(reader: R) -> Result<Trace, IoError> {
         let e: f64 = parse_field(Some(fields[3]), lineno, "end time")?;
         if a == b {
             return Err(syntax(lineno, "self-contact"));
+        }
+        if a.max(b) >= MAX_NODES {
+            return Err(syntax(
+                lineno,
+                &format!("node id too large for the {MAX_NODES}-node limit"),
+            ));
         }
         if !s.is_finite() || !e.is_finite() || s > e {
             return Err(syntax(lineno, "invalid contact interval"));
@@ -355,6 +376,9 @@ mod tests {
             ("# nodes 2\n0 5 0 1\n", 2, "`# nodes` count"),
             ("0 1 0 1\n1 2 0 1\n# nodes 2\n", 2, "`# nodes` count"),
             ("0 4294967295 0 1\n", 1, "node id too large"),
+            ("0 1 0 1\n1048576 2 0 1\n", 2, "node id too large"),
+            ("# nodes 4000000000\n0 1 0 10\n", 1, "node count above"),
+            ("0 1 0 1\n# nodes 1048577\n", 2, "node count above"),
             ("# nodes 2\n# internal 9\n", 2, "internal count exceeds"),
             ("# internal 3\n0 1 0 1\n", 1, "internal count exceeds"),
             (
@@ -375,6 +399,8 @@ mod tests {
                 other => panic!("{text}: unexpected error: {other}"),
             }
         }
+        let at_limit = format!("# nodes {MAX_NODES}\n0 {} 0 1\n", MAX_NODES - 1);
+        assert_eq!(from_str(&at_limit).unwrap().num_nodes(), MAX_NODES);
         assert_eq!(
             from_str("# nodes 3\n# internal 3\n0 2 0 1\n")
                 .unwrap()

@@ -47,7 +47,7 @@ pub mod transform;
 pub use contact::{Contact, ContactId, Interval};
 pub use csr::Csr;
 pub use invariant::InvariantViolation;
-pub use io::IoError;
+pub use io::{IoError, MAX_NODES};
 pub use node::NodeId;
 pub use overlay::{ContactKey, TraceOverlay};
 pub use sequence::{ContactSeq, LdEa};

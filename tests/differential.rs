@@ -12,14 +12,15 @@
 //! same checks stay active in release builds — that is the CI
 //! `strict-invariants` job.
 
+use omnet_artifact::ArtifactMeta;
 use omnet_core::{
-    cross_check, AllPairsProfiles, Arcs, ContactDelta, CrossCheckOptions, DeliveryFunction,
-    HopBound, ProfileOptions, SourceProfiles,
+    cross_check, AllPairsProfiles, Arcs, ContactDelta, CrossCheckOptions, CurveOptions,
+    DeliveryFunction, HopBound, ProfileOptions, SourceProfiles, SuccessCurves,
 };
-use omnet_serve::{Engine, Query, QueryError};
+use omnet_serve::{Engine, Query, QueryError, QueryResponse};
 use omnet_temporal::invariant::{self, InvariantViolation};
 use omnet_temporal::{
-    Contact, ContactKey, ContactSeq, NodeId, Time, Trace, TraceBuilder, TraceOverlay,
+    Contact, ContactKey, ContactSeq, Dur, Interval, NodeId, Time, Trace, TraceBuilder, TraceOverlay,
 };
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -606,4 +607,210 @@ fn with_invalid_entry(rng: &mut StdRng, trace: &Trace, delta: &ContactDelta) -> 
         }
     }
     bad
+}
+
+/// Strategy: a random small trace whose first `internal` nodes are the
+/// internal devices, for the hop-bounded read oracle.
+fn split_trace_strategy() -> impl Strategy<Value = Trace> {
+    (
+        3u32..7,
+        1u32..7,
+        prop::collection::vec((0u32..7, 0u32..7, 0u32..400, 1u32..100), 1..12),
+    )
+        .prop_map(|(n, internal, rows)| {
+            let mut b = TraceBuilder::new().num_nodes(n).internal(internal.min(n));
+            for (u, v, start, dur) in rows {
+                let (u, v) = (u % n, v % n);
+                if u == v {
+                    continue;
+                }
+                b.push(Contact::secs(u, v, start as f64, (start + dur) as f64));
+            }
+            b.build()
+        })
+}
+
+/// The §4.1 curves as they were defined before the level walk: every
+/// `(source, dest, bound, window)` rebuilds `profile(d, bound)` and calls
+/// `success_curve`, each source's partial is summed in the same
+/// `acc[bound * grid_len + grid_index]` layout, and the partials are reduced
+/// in source order. Returns one curve per entry of `opts.bounds`.
+fn reference_curves(
+    rows: &[SourceProfiles],
+    opts: &CurveOptions,
+    windows: &[Interval],
+    node_limit: u32,
+) -> Vec<Vec<f64>> {
+    let total: f64 = windows.iter().map(|w| w.duration().as_secs()).sum();
+    let weights: Vec<f64> = windows
+        .iter()
+        .map(|w| w.duration().as_secs() / total)
+        .collect();
+    let (nb, ng) = (opts.bounds.len(), opts.grid.len());
+    let mut curves = vec![vec![0.0f64; ng]; nb];
+    for s in 0..node_limit {
+        let mut acc = vec![0.0f64; nb * ng];
+        for d in 0..node_limit {
+            if d == s {
+                continue;
+            }
+            for (bi, &bound) in opts.bounds.iter().enumerate() {
+                let f = rows[s as usize].profile(NodeId(d), bound);
+                for (w, &weight) in windows.iter().zip(&weights) {
+                    for (gi, v) in f.success_curve(*w, &opts.grid).into_iter().enumerate() {
+                        acc[bi * ng + gi] += weight * v;
+                    }
+                }
+            }
+        }
+        for bi in 0..nb {
+            for gi in 0..ng {
+                curves[bi][gi] += acc[bi * ng + gi];
+            }
+        }
+    }
+    let n = node_limit as usize;
+    let pairs = n * n.saturating_sub(1);
+    if pairs > 0 {
+        for v in curves.iter_mut().flatten() {
+            *v /= pairs as f64;
+        }
+    }
+    curves
+}
+
+/// The bit patterns of a curve, so `-0.0`/`+0.0` or a last-ulp difference
+/// fails the comparison.
+fn bits(curve: &[f64]) -> Vec<u64> {
+    curve.iter().map(|v| v.to_bits()).collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Every hop-bounded read that walks the stored level runs — the §4.1
+    /// curves (`compute_windowed` and `from_profiles`), `SourceProfiles::
+    /// delivery`, serve's bounded `delivery` and its artifact-only `path`
+    /// hop class — is bit for bit what the reconstructing specification
+    /// `profile(d, AtMost(k))` answers. Cases: bounds in arbitrary order
+    /// with repeats, `AtMost(0)`, `k` past the stored levels, several
+    /// windows including a zero-length one, internal pairs only or all,
+    /// `d == source`, and unreachable pairs.
+    #[test]
+    fn level_walk_matches_reconstructed_profiles(
+        trace in split_trace_strategy(),
+        store in 0usize..5,
+        shuffle in 0u64..u64::MAX,
+    ) {
+        let popts = ProfileOptions::builder().store_levels(store).build();
+        let rows = AllPairsProfiles::compute(&trace, popts).into_rows();
+        let deepest = rows.iter().map(|r| r.stored_levels()).max().unwrap_or(0);
+        let mut rng = StdRng::seed_from_u64(shuffle);
+        let mut bounds: Vec<HopBound> = (0..=deepest + 2).map(HopBound::AtMost).collect();
+        bounds.push(HopBound::Unlimited);
+        bounds.push(HopBound::AtMost(rng.gen_range(0..=deepest + 2)));
+        for i in (1..bounds.len()).rev() {
+            bounds.swap(i, rng.gen_range(0..=i));
+        }
+
+        let span = trace.span();
+        let (lo, hi) = (span.start.as_secs(), span.end.as_secs());
+        let mid = (lo + hi) / 2.0;
+        let windows = [
+            Interval::secs(lo, mid),
+            Interval::secs(mid, mid),
+            Interval::secs(mid, hi),
+            Interval::secs(lo, hi + 50.0),
+        ];
+        let grid = [0.0, 1.0, 10.0, 60.0, 60.0, 250.0, f64::INFINITY].map(Dur::secs).to_vec();
+        for internal_only in [true, false] {
+            let opts = CurveOptions {
+                bounds: bounds.clone(),
+                grid: grid.clone(),
+                window: None,
+                internal_pairs_only: internal_only,
+                profiles: popts,
+            };
+            let limit = if internal_only { trace.num_internal() } else { trace.num_nodes() };
+            let want = reference_curves(&rows, &opts, &windows, limit);
+            let direct = SuccessCurves::compute_windowed(&trace, &opts, &windows);
+            let refs: Vec<&SourceProfiles> = rows.iter().collect();
+            let loaded = SuccessCurves::from_profiles(&refs, &opts, &windows, trace.num_internal());
+            for (bi, b) in bounds.iter().enumerate() {
+                if bounds[..bi].contains(b) {
+                    continue; // `curve` answers a repeated bound's first slot
+                }
+                let want = bits(&want[bi]);
+                prop_assert_eq!(bits(direct.curve(*b).unwrap()), want.clone(), "compute {:?}", b);
+                prop_assert_eq!(bits(loaded.curve(*b).unwrap()), want, "from_profiles {:?}", b);
+            }
+        }
+
+        let meta = ArtifactMeta {
+            dataset_key: "walk".into(),
+            num_nodes: trace.num_nodes(),
+            num_internal: trace.num_internal(),
+            window: span,
+            options: popts,
+        };
+        let dir = std::env::temp_dir().join(format!(
+            "omnet-level-walk-{}-{shuffle:x}-{store}",
+            std::process::id()
+        ));
+        omnet_artifact::write_set(&dir, "walk", &meta, &rows, 2)
+            .map_err(|e| TestCaseError::fail(format!("write_set: {e}")))?;
+        let shards = Engine::load_dir(&dir)
+            .map_err(|e| TestCaseError::fail(format!("load_dir: {e}")))?;
+        std::fs::remove_dir_all(&dir).ok();
+        let lazy = Engine::from_trace(Arc::new(trace.clone()), popts, "walk");
+
+        let times = [lo - 10.0, lo, mid, hi, hi + 10.0].map(Time::secs);
+        let bounds: Vec<HopBound> = (0..=deepest + 2)
+            .map(HopBound::AtMost)
+            .chain([HopBound::Unlimited])
+            .collect();
+        for row in &rows {
+            let s = row.source();
+            for d in trace.nodes() {
+                for &at in &times {
+                    for &bound in &bounds {
+                        let f = row.profile(d, bound);
+                        let (arrival, delay) = (f.delivery(at), f.delay(at));
+                        prop_assert_eq!(row.delivery(d, at, bound), arrival);
+                        let q = Query::Delivery { src: s.0, dst: d.0, at, bound };
+                        for engine in [&shards, &lazy] {
+                            match engine.answer(&q) {
+                                Ok(QueryResponse::Delivery(a)) => {
+                                    prop_assert_eq!(a.arrival, arrival, "{:?}", q);
+                                    prop_assert_eq!(a.delay, delay, "{:?}", q);
+                                    prop_assert_eq!(a.reachable, arrival != Time::INF);
+                                }
+                                other => prop_assert!(false, "{:?}: {:?}", q, other),
+                            }
+                        }
+                    }
+                    if d == s {
+                        continue;
+                    }
+                    // The hop class as serve found it before the walk: the
+                    // first stored `k` whose reconstructed frontier delivers
+                    // as early as flooding.
+                    let flood = row.profile(d, HopBound::Unlimited).delivery(at);
+                    let hops = (1..=row.stored_levels())
+                        .find(|&k| row.profile(d, HopBound::AtMost(k)).delivery(at) == flood)
+                        .unwrap_or(row.converged_at());
+                    let q = Query::Path { src: s.0, dst: d.0, at };
+                    match shards.answer(&q) {
+                        Ok(QueryResponse::Path(p)) => {
+                            prop_assert_eq!(p.arrival, flood, "{:?}", q);
+                            if flood != Time::INF {
+                                prop_assert_eq!(p.hops, hops, "{:?}", q);
+                            }
+                        }
+                        other => prop_assert!(false, "{:?}: {:?}", q, other),
+                    }
+                }
+            }
+        }
+    }
 }
