@@ -1,219 +1,59 @@
-//! Persistent, lazily-initialized work-stealing executor.
+//! Scoped fork/join executor.
 //!
 //! This is the runtime behind [`crate::par_map`] / [`crate::par_map_with`].
-//! The previous implementation forked a fresh set of crossbeam scoped
-//! threads on every call, which (a) paid thread spawn/join latency per
-//! call and (b) oversubscribed the machine whenever parallel maps nested
-//! (experiments × sources × replications each spawned their own crew).
-//! This module replaces it with one process-wide crew of workers:
+//! The all-pairs work it serves is independent per item, so one map is a
+//! plain fork/join over [`std::thread::scope`]:
 //!
-//! * **per-worker deques + a global injector** — owners push batch handles
-//!   to their own deque (workers) or the injector (external threads);
-//!   idle workers pop their own deque LIFO and steal FIFO from the
-//!   injector and from their siblings, so coarse work spreads while warm
-//!   work stays local;
-//! * **cooperative nested joins** — a thread blocked on an inner map does
-//!   not park: it claims pending work (its own batch's items first, then
-//!   any other queued batch) until its batch completes, so nesting
-//!   composes without spawning or idling threads;
-//! * **index-claimed batches** — a batch is published as one cheap handle;
-//!   every participant (owner, worker, helper) claims item indices from a
-//!   shared atomic cursor, so results land in input order regardless of
-//!   scheduling and stale handles in a queue are harmless;
-//! * **panic propagation** — a panicking item cancels the rest of its
-//!   batch and the original payload is re-raised on the owner, nesting
-//!   included;
-//! * **`OMNET_THREADS` override** — sizes the global crew (`1` forces the
-//!   fully serial fallback; unset/invalid means one participant per
-//!   available core). The crew is only spawned on first use.
+//! * **one claim cursor** — the caller and its helpers claim item indices
+//!   from one shared atomic cursor, so uneven items balance, and results
+//!   are put back in input order however the claims interleaved;
+//! * **one scratch per participant** — each participant builds its scratch
+//!   with `init` once and reuses it for every item it claims;
+//! * **helper permits** — an executor of `threads = t` holds `t − 1`
+//!   helper permits. A map takes as many free permits as it can use (at
+//!   most `n − 1`), starts that many scoped helpers, and returns the
+//!   permits after joining them, so at no time do more than `t − 1`
+//!   helpers exist. A map that finds no free permit — a nested map inside
+//!   a busy outer map, or a second owner thread — runs inline on its
+//!   caller. [`global`] is the only production instance, so in production
+//!   the cap is process-wide;
+//! * **panic propagation** — a panicking item stops further claims, and
+//!   its payload is re-raised on the caller through `join` +
+//!   `resume_unwind`, nesting included;
+//! * **task counters** — helpers inherit the caller's
+//!   [`with_task_counter`] tag, so nested work is attributed to the owner;
+//! * **`OMNET_THREADS` override** — sizes [`global`] (`1` forces the fully
+//!   serial path; unset/invalid means one participant per available core).
 //!
-//! Safety: worker threads are `'static` while mapped closures borrow the
-//! caller's stack, so the borrowed state (closure, scratch constructor,
-//! result slots) is published as raw pointers inside a `'static` handle.
-//! The lifetime argument is the classic fork/join one — see the SAFETY
-//! comments on the two dereference sites. All other code is safe; the
-//! module-level `allow` below is the only place the workspace-wide
-//! `deny(unsafe_code)` is lifted.
-#![allow(unsafe_code)]
+//! Known limit: permits move only at fork and join. A lane that runs out of
+//! items cannot lend its thread to an inner map that is already running
+//! inline on another lane (DESIGN.md §10.1).
 
-use crate::sync::atomic::{AtomicBool, AtomicPtr, AtomicU64, AtomicUsize, Ordering};
-use crate::sync::{thread, Arc, Condvar, Mutex, MutexGuard};
 use omnet_obs::Counter;
-use std::any::Any;
-use std::cell::{Cell, RefCell};
-use std::collections::VecDeque;
-use std::marker::PhantomData;
-use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::{OnceLock, PoisonError};
-use std::time::Duration;
-
-/// A panic payload carried from a failed batch item back to its owner.
-type Payload = Box<dyn Any + Send + 'static>;
+use std::cell::RefCell;
+use std::panic::resume_unwind;
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Arc, OnceLock};
+use std::thread;
 
 /// Per-batch instrumentation counter; see [`with_task_counter`].
 pub type TaskCounter = Arc<AtomicU64>;
 
-/// Monomorphized participation entry point stored in a batch handle.
-// SAFETY: callers must uphold the contract documented on [`run_batch`]
-// (live `BatchBody` of the matching concrete types behind the pointer,
-// and an executed-item claim held for the whole call).
-type RunFn = unsafe fn(&BatchHandle, *const (), usize);
-
-// Process-wide scheduler telemetry: always-on `omnet_obs` counters (one
-// relaxed `fetch_add` each), surfaced both through [`stats`] and through
-// the shared `omnet_obs::counters()` registry the harness footer and the
+// Process-wide telemetry: always-on `omnet_obs` counters (one relaxed
+// `fetch_add` each), surfaced both through [`stats`] and through the shared
+// `omnet_obs::counters()` registry the harness footer and the
 // `--trace-out` sink read.
 /// Items executed through the executor (all batches, process-wide).
 static ITEMS_EXECUTED: Counter = Counter::new("executor.items");
 /// Batches (i.e. `par_map`-level calls) executed, process-wide.
 static BATCHES_EXECUTED: Counter = Counter::new("executor.batches");
-/// Batch handles stolen from a sibling worker's deque.
-static STEALS: Counter = Counter::new("executor.steals");
-/// Batch handles popped from the global injector.
-static INJECTOR_POPS: Counter = Counter::new("executor.injector_pops");
-/// Times a crew thread parked on the wakeup condvar.
-static PARKS: Counter = Counter::new("executor.parks");
-/// Parks that ended by a push notification (rather than the re-poll
-/// timeout).
-static UNPARKS: Counter = Counter::new("executor.unparks");
 
 thread_local! {
-    /// `(Arc::as_ptr of the owning pool, worker index)` for crew threads.
-    static WORKER: Cell<Option<(usize, usize)>> = const { Cell::new(None) };
     /// The instrumentation counter batches created on this thread attach to.
     static CURRENT_TAG: RefCell<Option<TaskCounter>> = const { RefCell::new(None) };
 }
 
-/// Locks a mutex, ignoring poisoning (a panicking participant already
-/// re-raises its payload through the batch handle; the guarded data —
-/// queues, flags — stays structurally valid).
-fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
-/// One published batch. `'static` and reference-counted so copies may sit
-/// in queues after the batch completes; the claim protocol guarantees the
-/// borrowed `body` behind the raw pointer is never dereferenced late.
-struct BatchHandle {
-    /// Number of items.
-    n: usize,
-    /// Claim cursor: `fetch_add` hands out item indices; `>= n` means the
-    /// batch is exhausted (or cancelled by a panic).
-    next: AtomicUsize,
-    /// Items accounted for (executed or cancelled). The batch is complete
-    /// when this reaches `n`.
-    done: AtomicUsize,
-    /// Type-erased pointer to the owner's stack-held [`BatchBody`].
-    body: AtomicPtr<()>,
-    /// Monomorphized participation loop for the body's concrete types.
-    run: RunFn,
-    /// First panic payload raised by an item, re-raised by the owner.
-    panic: Mutex<Option<Payload>>,
-    /// Completion flag + condvar the owner blocks on as a last resort.
-    complete: Mutex<bool>,
-    done_cv: Condvar,
-    /// Instrumentation counter inherited from the owner's thread.
-    tag: Option<TaskCounter>,
-}
-
-/// The borrowed half of a batch, alive on the owner's stack for the whole
-/// call: result slots, scratch constructor and item closure.
-struct BatchBody<T, S, I, F> {
-    slots: *mut Option<T>,
-    init: *const I,
-    f: *const F,
-    _scratch: PhantomData<S>,
-}
-
-/// Claims the next unexecuted item index, if any.
-fn claim(handle: &BatchHandle) -> Option<usize> {
-    let i = handle.next.fetch_add(1, Ordering::AcqRel);
-    (i < handle.n).then_some(i)
-}
-
-/// Accounts for `k` finished (or cancelled) items; returns `true` — and
-/// wakes the owner — when the batch just completed.
-fn finish_items(handle: &BatchHandle, k: usize) -> bool {
-    let prev = handle.done.fetch_add(k, Ordering::AcqRel);
-    if prev + k >= handle.n {
-        *lock(&handle.complete) = true;
-        handle.done_cv.notify_all();
-        true
-    } else {
-        false
-    }
-}
-
-/// Stores the first panic payload of a batch.
-fn record_panic(handle: &BatchHandle, payload: Payload) {
-    let mut slot = lock(&handle.panic);
-    if slot.is_none() {
-        *slot = Some(payload);
-    }
-}
-
-/// The monomorphized participation loop: builds one scratch state, then
-/// executes claimed indices until the batch is exhausted, complete, or an
-/// item panics (which cancels every still-unclaimed index).
-///
-/// # Safety
-/// `body` must point at a live `BatchBody<T, S, I, F>` belonging to
-/// `handle`, and the caller must hold an executed-item claim (see
-/// [`participate`]) so the owner cannot return concurrently.
-unsafe fn run_batch<T, S, I, F>(handle: &BatchHandle, body: *const (), first: usize)
-where
-    T: Send,
-    I: Fn() -> S + Sync,
-    F: Fn(&mut S, usize) -> T + Sync,
-{
-    let body = &*body.cast::<BatchBody<T, S, I, F>>();
-    let outcome = catch_unwind(AssertUnwindSafe(|| {
-        let mut scratch = (*body.init)();
-        let mut index = first;
-        loop {
-            let value = (*body.f)(&mut scratch, index);
-            // SAFETY: `index` was claimed exactly once, so this slot is
-            // written by no other participant; the owner only reads slots
-            // after `done` reaches `n`, which waits for this write.
-            *body.slots.add(index) = Some(value);
-            if finish_items(handle, 1) {
-                return;
-            }
-            match claim(handle) {
-                Some(i) => index = i,
-                None => return,
-            }
-        }
-    }));
-    if let Err(payload) = outcome {
-        record_panic(handle, payload);
-        // Cancel: forbid further claims, then account for the item we
-        // claimed plus every index that was never handed out, so `done`
-        // still reaches `n` and the owner wakes.
-        let prev = handle.next.swap(handle.n, Ordering::AcqRel);
-        let skipped = handle.n.saturating_sub(prev);
-        finish_items(handle, 1 + skipped);
-    }
-}
-
-/// Runs a popped (or owned) batch handle on the current thread.
-fn participate(task: &BatchHandle) {
-    let first = task.next.fetch_add(1, Ordering::AcqRel);
-    if first >= task.n {
-        return; // exhausted or cancelled — a stale queue copy, drop it
-    }
-    let _tag = TagGuard::set(task.tag.clone());
-    let body = task.body.load(Ordering::Acquire);
-    // SAFETY: we hold the claim on item `first`, which has not been
-    // accounted in `done`; the owner blocks until `done == n`, so the
-    // stack frame holding the body (closure, scratch ctor, slots) is
-    // still alive for the whole `run_batch` call. `body` was stored
-    // before the handle was published to any queue.
-    unsafe { (task.run)(task, body.cast_const(), first) }
-}
-
-/// RAII save/restore of [`CURRENT_TAG`], so helpers executing a stolen
-/// batch attribute nested work to that batch's owner, not their own.
+/// RAII save/restore of [`CURRENT_TAG`].
 struct TagGuard {
     saved: Option<TaskCounter>,
 }
@@ -232,153 +72,75 @@ impl Drop for TagGuard {
     }
 }
 
-/// Shared state of one executor instance.
-struct Shared {
-    /// FIFO overflow queue fed by non-worker threads.
-    injector: Mutex<VecDeque<Arc<BatchHandle>>>,
-    /// One deque per worker; the owner pops LIFO, everyone else FIFO.
-    queues: Vec<Mutex<VecDeque<Arc<BatchHandle>>>>,
-    /// Sleep epoch: bumped (under the lock) on every push, so a worker
-    /// that saw an empty system only parks if nothing arrived since.
-    sleep: Mutex<u64>,
-    wakeup: Condvar,
-    shutdown: AtomicBool,
+/// Helper permits held by one map; returned on drop, unwinding included.
+struct Permits<'a> {
+    free: &'a AtomicUsize,
+    held: usize,
 }
 
-/// Pops the next task visible to this thread: own deque (LIFO), then the
-/// injector, then steal from siblings (FIFO), round-robin from `me + 1`.
-fn find_task(shared: &Shared, me: Option<usize>) -> Option<Arc<BatchHandle>> {
-    if let Some(id) = me {
-        if let Some(t) = lock(&shared.queues[id]).pop_back() {
-            return Some(t);
-        }
+impl Drop for Permits<'_> {
+    fn drop(&mut self) {
+        // ORDERING: a permit is a bare count; no data is published through
+        // it (helpers are joined before the permits come back).
+        self.free.fetch_add(self.held, Ordering::Relaxed);
     }
-    if let Some(t) = lock(&shared.injector).pop_front() {
-        INJECTOR_POPS.inc();
-        return Some(t);
-    }
-    let k = shared.queues.len();
-    let start = me.map_or(0, |i| i + 1);
-    for off in 0..k {
-        let q = (start + off) % k;
-        if Some(q) == me {
-            continue;
-        }
-        if let Some(t) = lock(&shared.queues[q]).pop_front() {
-            STEALS.inc();
-            return Some(t);
-        }
-    }
-    None
 }
 
-/// Publishes `copies` references to a batch and wakes sleeping workers.
-fn push_tasks(shared: &Shared, handle: &Arc<BatchHandle>, copies: usize, me: Option<usize>) {
-    if copies == 0 {
-        return;
-    }
-    match me {
-        Some(id) => {
-            let mut q = lock(&shared.queues[id]);
-            for _ in 0..copies {
-                q.push_back(Arc::clone(handle));
-            }
-        }
-        None => {
-            let mut q = lock(&shared.injector);
-            for _ in 0..copies {
-                q.push_back(Arc::clone(handle));
-            }
-        }
-    }
-    let mut epoch = lock(&shared.sleep);
-    *epoch = epoch.wrapping_add(1);
-    shared.wakeup.notify_all();
+/// Stops further claims on a batch when the participant holding it
+/// unwinds, so a panicking item cancels the rest of the batch.
+struct CancelOnPanic<'a> {
+    cursor: &'a AtomicUsize,
+    n: usize,
 }
 
-/// Crew thread body: run every task in sight, park when the system drains.
-fn worker_loop(shared: Arc<Shared>, id: usize) {
-    WORKER.with(|w| w.set(Some((Arc::as_ptr(&shared) as usize, id))));
-    loop {
-        if shared.shutdown.load(Ordering::Acquire) {
-            return;
-        }
-        let epoch = *lock(&shared.sleep);
-        if let Some(task) = find_task(&shared, Some(id)) {
-            participate(&task);
-            continue;
-        }
-        let guard = lock(&shared.sleep);
-        if shared.shutdown.load(Ordering::Acquire) {
-            return;
-        }
-        if *guard == epoch {
-            // Nothing arrived between the scan and now; park until a push
-            // bumps the epoch (the timeout is a belt-and-braces re-poll).
-            PARKS.inc();
-            let (guard, _) = shared
-                .wakeup
-                .wait_timeout(guard, Duration::from_millis(50))
-                .unwrap_or_else(PoisonError::into_inner);
-            if *guard != epoch {
-                UNPARKS.inc();
-            }
+impl Drop for CancelOnPanic<'_> {
+    fn drop(&mut self) {
+        if thread::panicking() {
+            // ORDERING: claims only hand out indices; results travel back
+            // through `join`, which synchronizes on its own.
+            self.cursor.store(self.n, Ordering::Relaxed);
         }
     }
 }
 
-/// A persistent work-stealing thread pool.
+/// A fork/join executor with a fixed number of participants.
 ///
-/// `threads` counts *participants*: the calling thread itself joins every
-/// batch it submits, so an executor of `threads = t` spawns `t - 1` crew
-/// threads and `threads = 1` spawns none (fully serial, allocation-free
-/// dispatch). The process-wide instance behind [`crate::par_map`] is
-/// created on first use by [`global`]; independent instances (used by the
-/// tests) are available through [`Executor::new`].
+/// `threads` counts *participants*: the calling thread itself works on
+/// every batch it submits, so an executor of `threads = t` runs at most
+/// `t - 1` scoped helper threads at a time, and `threads = 1` runs every
+/// map serially on its caller. The process-wide instance behind
+/// [`crate::par_map`] is created on first use by [`global`]; independent
+/// instances (used by the tests) are available through [`Executor::new`].
 pub struct Executor {
-    shared: Arc<Shared>,
     threads: usize,
+    /// Helper permits not held by a running map.
+    free_helpers: AtomicUsize,
 }
 
 impl Executor {
-    /// Creates an executor with `threads` participants (min 1), spawning
-    /// `threads - 1` crew threads immediately.
+    /// Creates an executor with `threads` participants (min 1). No thread
+    /// is started until a map needs one.
     pub fn new(threads: usize) -> Executor {
         let threads = threads.max(1);
-        let workers = threads - 1;
-        let shared = Arc::new(Shared {
-            injector: Mutex::new(VecDeque::new()),
-            queues: (0..workers).map(|_| Mutex::new(VecDeque::new())).collect(),
-            sleep: Mutex::new(0),
-            wakeup: Condvar::new(),
-            shutdown: AtomicBool::new(false),
-        });
-        for id in 0..workers {
-            let s = Arc::clone(&shared);
-            let spawned = thread::Builder::new()
-                .name(format!("omnet-worker-{id}"))
-                .spawn(move || worker_loop(s, id));
-            if spawned.is_err() {
-                // Out of threads: the pool still works — unreachable
-                // queues are drained by steals from the live workers and
-                // the owners themselves.
-                break;
-            }
+        Executor {
+            threads,
+            free_helpers: AtomicUsize::new(threads - 1),
         }
-        Executor { shared, threads }
     }
 
-    /// Number of participants (crew threads + the calling thread).
+    /// Number of participants (helpers + the calling thread).
     pub fn threads(&self) -> usize {
         self.threads
     }
 
-    /// The worker index of the current thread *in this executor*, if any.
-    fn worker_id(&self) -> Option<usize> {
-        let key = Arc::as_ptr(&self.shared) as usize;
-        WORKER
-            .with(|w| w.get())
-            .and_then(|(pool, id)| (pool == key).then_some(id))
+    /// Takes up to `want` free helper permits (possibly none).
+    fn take_permits(&self, want: usize) -> Permits<'_> {
+        let taken = |free: usize| (free > 0 && want > 0).then(|| free - free.min(want));
+        let free = &self.free_helpers;
+        // ORDERING: a permit is a bare count; see `Permits::drop`.
+        let prev = free.fetch_update(Ordering::Relaxed, Ordering::Relaxed, taken);
+        let held = prev.map_or(0, |free| free.min(want));
+        Permits { free, held }
     }
 
     /// Parallel indexed map with per-participant scratch state; results in
@@ -390,93 +152,74 @@ impl Executor {
         F: Fn(&mut S, usize) -> T + Sync,
     {
         let tag = CURRENT_TAG.with(|t| t.borrow().clone());
-        if n <= 1 || self.threads == 1 {
+        let permits = self.take_permits(n.saturating_sub(1));
+        let out = if permits.held == 0 {
             let mut scratch = init();
-            let out: Vec<T> = (0..n).map(|i| f(&mut scratch, i)).collect();
-            account(tag.as_ref(), n);
-            return out;
-        }
-
-        let mut slots: Vec<Option<T>> = Vec::with_capacity(n);
-        slots.resize_with(n, || None);
-        let handle = Arc::new(BatchHandle {
-            n,
-            next: AtomicUsize::new(0),
-            done: AtomicUsize::new(0),
-            body: AtomicPtr::new(std::ptr::null_mut()),
-            run: run_batch::<T, S, I, F>,
-            panic: Mutex::new(None),
-            complete: Mutex::new(false),
-            done_cv: Condvar::new(),
-            tag: tag.clone(),
-        });
-        let body = BatchBody::<T, S, I, F> {
-            slots: slots.as_mut_ptr(),
-            init: &init,
-            f: &f,
-            _scratch: PhantomData,
+            (0..n).map(|i| f(&mut scratch, i)).collect()
+        } else {
+            fork_join(n, permits.held, tag.as_ref(), &init, &f)
         };
-        handle.body.store(
-            (&body as *const BatchBody<T, S, I, F>).cast_mut().cast(),
-            Ordering::Release,
-        );
-
-        let me = self.worker_id();
-        let copies = self.shared.queues.len().min(n - 1);
-        push_tasks(&self.shared, &handle, copies, me);
-
-        // The owner is a participant too: claim and execute items.
-        participate(&handle);
-
-        // Cooperative join: until the batch completes, execute any other
-        // pending batch (typically subtasks of our own items) instead of
-        // parking. The condvar is only a fallback for the final stretch
-        // where every remaining item is already being executed elsewhere.
-        loop {
-            if *lock(&handle.complete) {
-                break;
-            }
-            if let Some(task) = find_task(&self.shared, me) {
-                participate(&task);
-                continue;
-            }
-            let guard = lock(&handle.complete);
-            if *guard {
-                break;
-            }
-            drop(
-                handle
-                    .done_cv
-                    .wait_timeout(guard, Duration::from_millis(1))
-                    .unwrap_or_else(PoisonError::into_inner),
-            );
-        }
-
-        // All participants are done: `done == n` happened-before the
-        // completion flag we just observed, so `body` and `slots` are no
-        // longer touched by anyone and every panic is recorded.
-        let payload = lock(&handle.panic).take();
-        if let Some(p) = payload {
-            resume_unwind(p);
-        }
+        drop(permits);
         account(tag.as_ref(), n);
-        slots
-            .into_iter()
-            .map(|s| match s {
-                Some(v) => v,
-                None => unreachable!("executor completed a batch with an unfilled slot"),
-            })
-            .collect()
+        out
     }
 }
 
-impl Drop for Executor {
-    fn drop(&mut self) {
-        self.shared.shutdown.store(true, Ordering::Release);
-        let mut epoch = lock(&self.shared.sleep);
-        *epoch = epoch.wrapping_add(1);
-        self.shared.wakeup.notify_all();
-    }
+/// Runs items `0..n` on the caller plus `helpers` scoped threads, each
+/// claiming indices from one cursor; returns the results in input order.
+fn fork_join<T, S, I, F>(
+    n: usize,
+    helpers: usize,
+    tag: Option<&TaskCounter>,
+    init: &I,
+    f: &F,
+) -> Vec<T>
+where
+    T: Send,
+    I: Fn() -> S + Sync,
+    F: Fn(&mut S, usize) -> T + Sync,
+{
+    let cursor = AtomicUsize::new(0);
+    let lane = || {
+        let _cancel = CancelOnPanic { cursor: &cursor, n };
+        let mut scratch = init();
+        let mut done = Vec::new();
+        loop {
+            // ORDERING: see `CancelOnPanic::drop`.
+            let i = cursor.fetch_add(1, Ordering::Relaxed);
+            if i >= n {
+                return done;
+            }
+            done.push((i, f(&mut scratch, i)));
+        }
+    };
+    // A panic on the caller's lane leaves this closure; `scope` then joins
+    // the helpers (already cancelled) and re-raises the caller's payload.
+    let mut results = thread::scope(|s| {
+        let spawned: Vec<_> = (0..helpers)
+            .filter_map(|_| {
+                // Out of threads: the lanes that did start take the items.
+                thread::Builder::new()
+                    .name("omnet-helper".into())
+                    .spawn_scoped(s, || {
+                        let _tag = TagGuard::set(tag.cloned());
+                        lane()
+                    })
+                    .ok()
+            })
+            .collect();
+        let mut all = lane();
+        for helper in spawned {
+            all.extend(
+                helper
+                    .join()
+                    .unwrap_or_else(|payload| resume_unwind(payload)),
+            );
+        }
+        all
+    });
+    results.sort_unstable_by_key(|&(i, _)| i);
+    results.into_iter().map(|(_, v)| v).collect()
 }
 
 /// Bumps the process-wide and per-batch instrumentation counters.
@@ -538,22 +281,24 @@ pub fn global() -> &'static Executor {
 
 /// Cumulative executor instrumentation (process-wide, all instances).
 ///
-/// The same numbers are registered as `executor.*` counters with
-/// `omnet_obs`, so they also appear in the harness footer and in the
-/// `--trace-out` JSONL sink.
+/// `batches` and `items` are also registered as `executor.*` counters with
+/// `omnet_obs`, so they appear in the harness footer and in the
+/// `--trace-out` JSONL sink. The other four fields date from a
+/// work-stealing pool and are always 0; they are kept only because the
+/// perfbench schema reads `steals` and `parks`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ExecutorStats {
     /// `par_map`-level batches dispatched.
     pub batches: u64,
     /// Work items executed (serial fallbacks included).
     pub items: u64,
-    /// Batch handles stolen from sibling worker deques.
+    /// Always 0 (kept for the perfbench schema).
     pub steals: u64,
-    /// Batch handles popped from the global injector.
+    /// Always 0 (kept for the perfbench schema).
     pub injector_pops: u64,
-    /// Crew-thread parks on the wakeup condvar.
+    /// Always 0 (kept for the perfbench schema).
     pub parks: u64,
-    /// Parks ended by a push notification rather than the re-poll timeout.
+    /// Always 0 (kept for the perfbench schema).
     pub unparks: u64,
 }
 
@@ -562,15 +307,15 @@ pub fn stats() -> ExecutorStats {
     ExecutorStats {
         batches: BATCHES_EXECUTED.get(),
         items: ITEMS_EXECUTED.get(),
-        steals: STEALS.get(),
-        injector_pops: INJECTOR_POPS.get(),
-        parks: PARKS.get(),
-        unparks: UNPARKS.get(),
+        steals: 0,
+        injector_pops: 0,
+        parks: 0,
+        unparks: 0,
     }
 }
 
 /// Attributes every batch created while `f` runs (on this thread, and on
-/// any participant executing those batches' items — nesting included) to
+/// any helper executing those batches' items — nesting included) to
 /// `counter`, which accumulates the number of work items executed. The
 /// experiment harness uses this for its per-experiment footer.
 pub fn with_task_counter<R>(counter: TaskCounter, f: impl FnOnce() -> R) -> R {
@@ -581,6 +326,9 @@ pub fn with_task_counter<R>(counter: TaskCounter, f: impl FnOnce() -> R) -> R {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::cell::Cell;
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+    use std::time::Duration;
 
     fn pool4() -> &'static Executor {
         static POOL: OnceLock<Executor> = OnceLock::new();
@@ -604,7 +352,7 @@ mod tests {
     }
 
     #[test]
-    fn nested_maps_complete_cooperatively() {
+    fn nested_maps_complete() {
         let v = pool4().map_with(
             8,
             || (),
@@ -722,10 +470,10 @@ mod tests {
         let after = stats();
         assert!(after.items >= before.items + 10);
         assert!(after.batches > before.batches);
+        assert_eq!((after.steals, after.injector_pops), (0, 0));
+        assert_eq!((after.parks, after.unparks), (0, 0));
     }
 
-    // Counter registration is compiled out under `--cfg loom`.
-    #[cfg(not(loom))]
     #[test]
     fn executor_counters_reach_the_obs_registry() {
         pool4().map_with(64, || (), |(), i| i);
@@ -742,15 +490,6 @@ mod tests {
         // other tests may run concurrently, so only monotonicity holds).
         let s = stats();
         assert!(s.items >= get("executor.items") || get("executor.items") >= 64);
-        let _ = (s.steals, s.injector_pops, s.parks, s.unparks);
-    }
-
-    #[test]
-    fn dropping_an_executor_shuts_workers_down() {
-        let ex = Executor::new(3);
-        let v = ex.map_with(32, || (), |(), i| i);
-        assert_eq!(v.len(), 32);
-        drop(ex); // must not hang or leak runnable work
     }
 
     #[test]
@@ -766,5 +505,70 @@ mod tests {
                 });
             }
         });
+    }
+
+    #[test]
+    fn helpers_never_exceed_threads_minus_one() {
+        // Non-owner threads currently running an item, and the peak seen.
+        static BUSY: AtomicUsize = AtomicUsize::new(0);
+        static PEAK: AtomicUsize = AtomicUsize::new(0);
+        thread_local! {
+            static OWNER: Cell<bool> = const { Cell::new(false) };
+            /// Items this thread is inside (an inline inner map nests them).
+            static DEPTH: Cell<usize> = const { Cell::new(0) };
+        }
+        fn item<T>(body: impl FnOnce() -> T) -> T {
+            let outermost = !OWNER.with(Cell::get) && DEPTH.with(|d| d.replace(d.get() + 1)) == 0;
+            if outermost {
+                let now = BUSY.fetch_add(1, Ordering::SeqCst) + 1;
+                PEAK.fetch_max(now, Ordering::SeqCst);
+            }
+            let out = body();
+            if !OWNER.with(Cell::get) {
+                DEPTH.with(|d| d.set(d.get() - 1));
+            }
+            if outermost {
+                BUSY.fetch_sub(1, Ordering::SeqCst);
+            }
+            out
+        }
+        let pool = Executor::new(4);
+        std::thread::scope(|s| {
+            for t in 0..6 {
+                let pool = &pool;
+                s.spawn(move || {
+                    OWNER.with(|o| o.set(true));
+                    for round in 0..10 {
+                        let v = pool.map_with(
+                            9,
+                            || (),
+                            |(), i| {
+                                item(|| {
+                                    pool.map_with(
+                                        7,
+                                        || (),
+                                        |(), j| {
+                                            item(|| {
+                                                std::thread::sleep(Duration::from_micros(100));
+                                                i * j
+                                            })
+                                        },
+                                    )
+                                    .into_iter()
+                                    .sum::<usize>()
+                                })
+                            },
+                        );
+                        assert_eq!(v[8], 8 * 21, "owner {t} round {round}");
+                    }
+                });
+            }
+        });
+        let peak = PEAK.load(Ordering::SeqCst);
+        assert!(peak >= 1, "no item ever ran on a helper");
+        assert!(
+            peak <= 3,
+            "{peak} helpers ran at once on a 4-participant executor"
+        );
     }
 }

@@ -4,15 +4,11 @@
 //! plain `f64` samples and renders plain-text tables and series, which is how
 //! the harness "plots" every figure of the paper (one CSV-like series per
 //! curve). It also hosts the parallel runtime used by the CPU-bound sweeps: a
-//! persistent work-stealing [`executor`] behind the [`par_map`] /
-//! [`par_map_with`] fork/join facade (the workload is pure computation, so no
-//! async runtime is involved; see DESIGN.md §10).
-//!
-//! `unsafe` is denied crate-wide and lifted in exactly one place: the
-//! executor's type-erased batch handoff, which carries borrowed closures to
-//! `'static` worker threads (see the safety discussion in [`executor`]).
+//! scoped-thread fork/join [`executor`] behind the [`par_map`] /
+//! [`par_map_with`] facade (the workload is pure computation, so no async
+//! runtime is involved; see DESIGN.md §10).
 
-#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
 pub mod ecdf;
@@ -22,7 +18,6 @@ pub mod grid;
 pub mod histogram;
 pub mod parallel;
 pub mod summary;
-pub(crate) mod sync;
 pub mod table;
 
 pub use ecdf::{Ccdf, Ecdf};

@@ -1,18 +1,18 @@
-//! Fork/join facade over the persistent work-stealing [`crate::executor`].
+//! Fork/join facade over the scoped-thread [`crate::executor`].
 //!
 //! The profile algorithm and Monte-Carlo sweeps are embarrassingly parallel
 //! across sources / replications; these helpers spread an indexed map across
-//! the process-wide executor crew. The closure receives the item index so
+//! the process-wide executor. The closure receives the item index so
 //! replications can derive independent RNG seeds, and the `_with` variant
 //! additionally threads a per-participant scratch state through every item a
 //! participant processes — the hook the profile engine uses to reuse its
 //! candidate buffers across sources instead of reallocating per source.
 //!
-//! Historically each call forked its own crew of crossbeam scoped threads;
-//! the calls now share one lazily-spawned pool (sized by `OMNET_THREADS`,
-//! default one participant per core), so nested maps — experiments ×
-//! sources × replications — compose cooperatively instead of
-//! oversubscribing the machine. Signatures are unchanged.
+//! Every call goes through the one process-wide executor (sized by
+//! `OMNET_THREADS`, default one participant per core). Its helper permits
+//! bound the helper threads process-wide, so nested maps — experiments ×
+//! sources × replications — run inline once the permits are taken instead
+//! of oversubscribing the machine.
 
 use crate::executor;
 
@@ -22,9 +22,10 @@ use crate::executor;
 /// Work is distributed dynamically (shared claim cursor), so uneven per-item
 /// cost — e.g. per-source profile computations on heterogeneous traces —
 /// balances well. Work items are expected to be coarse (milliseconds and
-/// up). Runs sequentially on the caller when `n <= 1` or the executor has a
-/// single participant (`OMNET_THREADS=1` or a one-core machine). A panic in
-/// any item cancels the rest of the batch and is re-raised on the caller.
+/// up). Runs sequentially on the caller when `n <= 1`, when the executor has
+/// a single participant (`OMNET_THREADS=1` or a one-core machine), or when
+/// every helper permit is already held (e.g. by an enclosing map). A panic
+/// in any item cancels the rest of the batch and is re-raised on the caller.
 pub fn par_map<T, F>(n: usize, f: F) -> Vec<T>
 where
     T: Send,

@@ -203,6 +203,14 @@ pub(crate) fn parse_header(
             context: "options fingerprint does not match stored options",
         });
     }
+    // Rows are validated against the claimed universe and queries range
+    // over it, so a resealed header may not claim more nodes than a trace
+    // can hold.
+    if num_nodes > omnet_temporal::MAX_NODES {
+        return Err(ArtifactError::Corrupt {
+            context: "node count above the trace node limit",
+        });
+    }
     if num_internal > num_nodes {
         return Err(ArtifactError::Corrupt {
             context: "more internal devices than nodes",
@@ -301,6 +309,26 @@ mod tests {
             Err(ArtifactError::UnsupportedVersion { found, supported })
                 if found == FORMAT_VERSION + 1 && supported == FORMAT_VERSION
         ));
+    }
+
+    #[test]
+    fn universe_above_the_node_limit_rejected() {
+        for (num_nodes, ok) in [
+            (omnet_temporal::MAX_NODES, true),
+            (omnet_temporal::MAX_NODES + 1, false),
+            (u32::MAX, false),
+        ] {
+            let big = ArtifactMeta {
+                num_nodes,
+                ..meta()
+            };
+            let buf = encode_header(&big, &range(), &[]).unwrap();
+            let got = parse_header(&buf);
+            assert_eq!(got.is_ok(), ok, "{num_nodes}: {got:?}");
+            if !ok {
+                assert!(matches!(got, Err(ArtifactError::Corrupt { .. })));
+            }
+        }
     }
 
     #[test]

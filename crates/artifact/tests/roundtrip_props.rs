@@ -202,9 +202,9 @@ proptest! {
 
     /// Hostile bytes in a valid shard's header, resealed with a fresh
     /// header checksum so they reach the field checks: opening gives a
-    /// shard or a typed error, never a panic. (Rows are not read: a
-    /// resealed header can claim any node count, and decoding allocates
-    /// per claimed node.)
+    /// shard or a typed error, never a panic, and so does reading the rows
+    /// of a shard that opened. (The header refuses node counts above
+    /// `omnet_temporal::MAX_NODES`, the universe a trace may declare.)
     #[test]
     fn resealed_hostile_headers_never_panic(
         trace in trace_strategy(),
@@ -220,8 +220,17 @@ proptest! {
         file[header_len - 8..header_len].copy_from_slice(&header_ck.to_le_bytes());
         std::fs::write(&paths[0], &file).expect("rewrite");
         match map_shard(&paths[0]) {
-            Ok(_)
-            | Err(
+            Ok(shard) => match shard.rows() {
+                Ok(_)
+                | Err(
+                    ArtifactError::Truncated { .. }
+                    | ArtifactError::ChecksumMismatch { .. }
+                    | ArtifactError::Corrupt { .. }
+                    | ArtifactError::InvalidProfile(_),
+                ) => {}
+                Err(other) => prop_assert!(false, "unexpected row rejection: {other}"),
+            },
+            Err(
                 ArtifactError::BadMagic { .. }
                 | ArtifactError::UnsupportedVersion { .. }
                 | ArtifactError::Truncated { .. }

@@ -15,7 +15,7 @@
 //! written to the sink, never to stdout — producing one
 //! [`ExperimentRecord`] per experiment for
 //! the run footer: elapsed time, executor work items attributed to that
-//! experiment (exact even under work stealing — batches are tagged at
+//! experiment (exact whichever thread runs an item — batches are tagged at
 //! creation), and the panic message if the experiment failed. A panicking
 //! experiment does not abort the run; the remaining experiments still
 //! execute and the caller decides how to report the failure.

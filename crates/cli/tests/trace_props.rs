@@ -189,6 +189,40 @@ fn oversized_universes_are_syntax_errors() {
     }
 }
 
+/// A universe at `MAX_NODES` with one contact is accepted, and `omnet
+/// diameter` answers it without an all-pairs induction over the isolated
+/// nodes: the binary must exit 0 well inside a generous deadline.
+#[test]
+fn diameter_of_a_capped_universe_with_one_contact_finishes() {
+    let dir = case_dir();
+    let trace = dir.join("sparse.trace");
+    let text = format!("# nodes {}\n0 1 0 10\n", omnet_temporal::MAX_NODES);
+    std::fs::write(&trace, text).unwrap();
+    let mut child = std::process::Command::new(env!("CARGO_BIN_EXE_omnet"))
+        .arg("diameter")
+        .arg(&trace)
+        .stdout(std::process::Stdio::null())
+        .spawn()
+        .unwrap();
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(120);
+    let status = loop {
+        if let Some(status) = child.try_wait().unwrap() {
+            break status;
+        }
+        if std::time::Instant::now() > deadline {
+            child.kill().ok();
+            child.wait().ok();
+            panic!(
+                "`omnet diameter` on a {}-node trace ran past 120 s",
+                omnet_temporal::MAX_NODES
+            );
+        }
+        std::thread::sleep(std::time::Duration::from_millis(50));
+    };
+    assert!(status.success(), "`omnet diameter` exited with {status}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 

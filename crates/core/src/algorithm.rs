@@ -330,11 +330,18 @@ impl ProfileScratch {
         self.in_flight = false;
     }
 
-    /// Moves the first `n` frontier slots out for a materialized
-    /// [`SourceProfiles`] row (the pooled slots revert to fresh empties)
-    /// and performs the same end-of-run cleanup as [`ProfileScratch::finish`].
-    fn take_rows(&mut self, n: usize) -> Vec<DeliveryFunction> {
-        let rows: Vec<DeliveryFunction> = self.cur[..n].iter_mut().map(std::mem::take).collect();
+    /// Moves the reached frontier slots out for a materialized
+    /// [`SourceProfiles`] row, ascending by destination (the pooled slots
+    /// revert to fresh empties), and performs the same end-of-run cleanup
+    /// as [`ProfileScratch::finish`]. Unreached slots are already empty.
+    fn take_rows(&mut self) -> Vec<(u32, DeliveryFunction)> {
+        self.reached.sort_unstable();
+        let cur = &mut self.cur;
+        let rows = self
+            .reached
+            .iter()
+            .map(|&d| (d, std::mem::take(&mut cur[d as usize])))
+            .collect();
         for &d in &self.reached {
             self.reached_words[(d >> 6) as usize] &= !(1u64 << (d & 63));
         }
@@ -344,6 +351,17 @@ impl ProfileScratch {
         self.in_flight = false;
         rows
     }
+}
+
+/// The non-empty frontiers of a dense per-destination vector, as
+/// `(dest, frontier)` ascending by destination.
+fn sparse(dense: Vec<DeliveryFunction>) -> Vec<(u32, DeliveryFunction)> {
+    dense
+        .into_iter()
+        .enumerate()
+        .filter(|(_, f)| !f.is_empty())
+        .map(|(d, f)| (d as u32, f))
+        .collect()
 }
 
 /// One induction level's stored delta runs: `(dest, added pairs)`,
@@ -374,8 +392,13 @@ pub struct SourceProfiles {
     /// `levels[k-1]`: the delta runs of hop class `k`, for
     /// `k <= min(store_levels, converged_at)`.
     levels: Vec<LevelRuns>,
-    /// The fixpoint: unbounded hop count.
-    unlimited: Vec<DeliveryFunction>,
+    /// Size of the node universe.
+    num_nodes: usize,
+    /// The fixpoint (unbounded hop count) of every reached destination,
+    /// ascending by destination; every other frontier is empty. Most
+    /// sources reach few of a large universe, so rows store no slot for
+    /// the rest.
+    unlimited: Vec<(u32, DeliveryFunction)>,
     /// First level at which no frontier changed (the fixpoint level).
     converged_at: usize,
     /// False if `max_levels` was hit before the fixpoint (pathological).
@@ -410,11 +433,11 @@ impl SourceProfiles {
     ) -> SourceProfiles {
         let n = trace.num_nodes() as usize;
         let fix = SourceProfiles::induct_core(trace, arcs, source, opts, scratch);
-        let unlimited = scratch.take_rows(n);
         SourceProfiles {
             source,
+            num_nodes: n,
             levels: fix.levels,
-            unlimited,
+            unlimited: scratch.take_rows(),
             converged_at: fix.converged_at,
             converged: fix.converged,
         }
@@ -655,8 +678,9 @@ impl SourceProfiles {
 
         SourceProfiles {
             source,
+            num_nodes: n,
             levels,
-            unlimited: cur,
+            unlimited: sparse(cur),
             converged_at,
             converged,
         }
@@ -679,10 +703,10 @@ impl SourceProfiles {
     /// and the §4.1 curves) walk the level runs instead and never build it.
     pub fn profile(&self, dest: NodeId, bound: HopBound) -> Cow<'_, DeliveryFunction> {
         match bound {
-            HopBound::Unlimited => Cow::Borrowed(&self.unlimited[dest.index()]),
+            HopBound::Unlimited => Cow::Borrowed(self.unbounded(dest)),
             HopBound::AtMost(k) => {
                 if k > self.levels.len() {
-                    return Cow::Borrowed(&self.unlimited[dest.index()]);
+                    return Cow::Borrowed(self.unbounded(dest));
                 }
                 let mut pairs: Vec<LdEa> = Vec::new();
                 if dest == self.source {
@@ -726,7 +750,7 @@ impl SourceProfiles {
                     .map(|run| delivery::frontier_delivery(run, t))
                     .fold(identity, Time::min)
             }
-            _ => self.unlimited[dest.index()].delivery(t),
+            _ => self.unbounded(dest).delivery(t),
         }
     }
 
@@ -735,7 +759,7 @@ impl SourceProfiles {
     /// prefix minima of the level runs. `None` when `dest` is unreachable
     /// at `t` or no stored class reaches the unbounded arrival.
     pub fn min_hops(&self, dest: NodeId, t: Time) -> Option<usize> {
-        let arrival = self.unlimited[dest.index()].delivery(t);
+        let arrival = self.unbounded(dest).delivery(t);
         if arrival == Time::INF {
             return None;
         }
@@ -768,7 +792,15 @@ impl SourceProfiles {
 
     /// Number of nodes in the trace this row was computed for.
     pub fn num_nodes(&self) -> usize {
-        self.unlimited.len()
+        self.num_nodes
+    }
+
+    /// The unbounded frontier of `dest` (empty when `dest` is unreached).
+    fn unbounded(&self, dest: NodeId) -> &DeliveryFunction {
+        static UNREACHED: DeliveryFunction = DeliveryFunction::empty();
+        self.unlimited
+            .binary_search_by_key(&dest.0, |(d, _)| *d)
+            .map_or(&UNREACHED, |i| &self.unlimited[i].1)
     }
 
     /// Decomposes this row into its portable parts for persistence.
@@ -779,7 +811,7 @@ impl SourceProfiles {
     /// `(dest, bound)` (Pareto union is insensitive to which dominated
     /// pairs a delta happened to record).
     pub fn to_parts(&self) -> SourceProfileParts {
-        let n = self.unlimited.len();
+        let n = self.num_nodes;
         let levels = self.levels.clone();
         // Tail: unbounded-frontier pairs not present in any stored delta
         // (levels past `store_levels`, or everything when no levels are
@@ -793,15 +825,15 @@ impl SourceProfiles {
             }
         }
         let mut tail: Vec<(u32, Box<[LdEa]>)> = Vec::new();
-        for (d, f) in self.unlimited.iter().enumerate() {
+        for (d, f) in &self.unlimited {
             let extra: Vec<LdEa> = f
                 .pairs()
                 .iter()
                 .copied()
-                .filter(|p| !stored[d].contains(p))
+                .filter(|p| !stored[*d as usize].contains(p))
                 .collect();
             if !extra.is_empty() {
-                tail.push((d as u32, extra.into_boxed_slice()));
+                tail.push((*d, extra.into_boxed_slice()));
             }
         }
         SourceProfileParts {
@@ -853,24 +885,39 @@ impl SourceProfiles {
         }
         check_run(None, &parts.tail)?;
 
-        let src = parts.source.index();
         // Unbounded frontier: Pareto union of every stored delta plus the
-        // tail (exact — see `to_parts`).
-        let mut acc: Vec<Vec<LdEa>> = vec![Vec::new(); n];
-        acc[src].push(LdEa::EMPTY);
-        for level in &parts.levels {
-            for (d, pairs) in level {
-                acc[*d as usize].extend_from_slice(pairs);
+        // tail (exact — see `to_parts`). Each run list is ascending by
+        // destination (checked above), so one merge visits the reached
+        // destinations in order without a slot per node.
+        let identity: LevelRuns = vec![(parts.source.0, Box::from([LdEa::EMPTY]))];
+        let lists: Vec<&LevelRuns> = parts
+            .levels
+            .iter()
+            .chain([&parts.tail, &identity])
+            .collect();
+        let mut at = vec![0usize; lists.len()];
+        let mut unlimited = Vec::new();
+        let mut pairs = Vec::new();
+        let head = |at: &[usize]| -> Option<u32> {
+            lists
+                .iter()
+                .zip(at)
+                .filter_map(|(l, &i)| l.get(i).map(|r| r.0))
+                .min()
+        };
+        while let Some(d) = head(&at) {
+            for (list, i) in lists.iter().zip(&mut at) {
+                if let Some((_, run)) = list.get(*i).filter(|r| r.0 == d) {
+                    pairs.extend_from_slice(run);
+                    *i += 1;
+                }
             }
+            unlimited.push((d, DeliveryFunction::from_pairs(pairs.drain(..))));
         }
-        for (d, pairs) in &parts.tail {
-            acc[*d as usize].extend_from_slice(pairs);
-        }
-        let unlimited: Vec<DeliveryFunction> =
-            acc.into_iter().map(DeliveryFunction::from_pairs).collect();
 
         Ok(SourceProfiles {
             source: parts.source,
+            num_nodes: n,
             levels: parts.levels,
             unlimited,
             converged_at: parts.converged_at as usize,
@@ -1399,6 +1446,17 @@ mod tests {
         let p = AllPairsProfiles::compute(&t, ProfileOptions::default());
         let f = p.profile(NodeId(0), NodeId(9), HopBound::Unlimited);
         assert_eq!(f.delivery(Time::ZERO), Time::secs(20.0));
+
+        // A row keeps a fixpoint frontier only for the reached destinations,
+        // computed or rebuilt from parts.
+        let row = SourceProfiles::compute(&t, &arcs, NodeId(0), ProfileOptions::default());
+        let back = SourceProfiles::from_parts(row.to_parts()).expect("own parts are valid");
+        for r in [&row, &back] {
+            let reached: Vec<u32> = r.unlimited.iter().map(|(d, _)| *d).collect();
+            assert_eq!(reached, vec![0, 5, 9]);
+            assert_eq!(r.num_nodes(), 10);
+            assert!(r.profile(NodeId(3), HopBound::Unlimited).is_empty());
+        }
     }
 
     #[test]

@@ -102,12 +102,20 @@ impl SuccessCurves {
             trace.num_nodes()
         };
         let nodes: Vec<NodeId> = (0..node_limit).map(NodeId).collect();
+        // A source without contacts reaches no one: its partial is all
+        // +0.0, and adding +0.0 leaves every (non-negative) sum bitwise
+        // unchanged, so only sources with a contact are computed.
+        let active: Vec<NodeId> = nodes
+            .iter()
+            .copied()
+            .filter(|&s| !arcs.leaving(s).is_empty())
+            .collect();
 
-        // One partial sum matrix per source, reduced at the end. Induction
-        // and aggregation stay fused per source so a row's profiles never
-        // outlive its partial.
-        let partials = omnet_analysis::par_map(nodes.len(), |si| {
-            let prof = SourceProfiles::compute(trace, &arcs, nodes[si], opts.profiles);
+        // One partial sum matrix per active source, reduced at the end in
+        // ascending source order. Induction and aggregation stay fused per
+        // source so a row's profiles never outlive its partial.
+        let partials = omnet_analysis::par_map(active.len(), |ai| {
+            let prof = SourceProfiles::compute(trace, &arcs, active[ai], opts.profiles);
             source_partial(&prof, &nodes, opts, windows, &weights)
         });
         SuccessCurves::reduce(opts, partials, nodes.len())

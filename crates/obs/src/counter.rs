@@ -1,13 +1,13 @@
 //! Monotonic counters with a process-wide registry.
 //!
 //! A [`Counter`] is declared as a `static`, so the instrumentation point
-//! pays no lookup: `static STEALS: Counter = Counter::new("executor.steals")`
-//! and `STEALS.inc()` compiles to one relaxed `fetch_add` plus one relaxed
+//! pays no lookup: `static ITEMS: Counter = Counter::new("executor.items")`
+//! and `ITEMS.inc()` compiles to one relaxed `fetch_add` plus one relaxed
 //! load (the registration check). The first increment pushes the counter
 //! into the global registry, which [`counters`] snapshots for footers and
 //! trace flushes.
 
-use crate::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock, PoisonError};
 
 /// A process-wide monotonic counter. Always on (not gated on the trace
@@ -17,8 +17,6 @@ use std::sync::{Mutex, OnceLock, PoisonError};
 pub struct Counter {
     name: &'static str,
     value: AtomicU64,
-    // Never read under `--cfg loom` (registration is compiled out there).
-    #[cfg_attr(loom, allow(dead_code))]
     registered: AtomicBool,
 }
 
@@ -37,7 +35,7 @@ impl Counter {
         }
     }
 
-    /// The counter's registry name (dotted, e.g. `"executor.steals"`).
+    /// The counter's registry name (dotted, e.g. `"executor.items"`).
     pub fn name(&self) -> &'static str {
         self.name
     }
@@ -46,13 +44,6 @@ impl Counter {
     #[inline]
     pub fn add(&'static self, n: u64) {
         self.value.fetch_add(n, Ordering::Relaxed);
-        // Under the loom model checker the registry is skipped entirely:
-        // counters are `static`s that outlive a single model execution, so
-        // the one-time registration branch would give the first execution a
-        // different switch-point sequence from every later one and break
-        // deterministic schedule replay (the registry mutex is also
-        // invisible to the model scheduler).
-        #[cfg(not(loom))]
         if !self.registered.load(Ordering::Relaxed) {
             self.register();
         }
@@ -75,8 +66,6 @@ impl Counter {
     #[inline]
     pub fn record_max(&'static self, v: u64) {
         self.value.fetch_max(v, Ordering::Relaxed);
-        // Same loom rationale as `add`: registration is compiled out.
-        #[cfg(not(loom))]
         if !self.registered.load(Ordering::Relaxed) {
             self.register();
         }
@@ -88,7 +77,6 @@ impl Counter {
     }
 
     /// Pushes the counter into the global registry exactly once.
-    #[cfg(not(loom))]
     #[cold]
     fn register(&'static self) {
         if !self.registered.swap(true, Ordering::AcqRel) {
@@ -118,8 +106,6 @@ pub fn counters() -> Vec<(&'static str, u64)> {
 mod tests {
     use super::*;
 
-    // Registration is compiled out under `--cfg loom` (see `add`).
-    #[cfg(not(loom))]
     #[test]
     fn counts_and_registers_once() {
         static HITS: Counter = Counter::new("test.hits");
@@ -135,8 +121,6 @@ mod tests {
         );
     }
 
-    // Registration is compiled out under `--cfg loom` (see `add`).
-    #[cfg(not(loom))]
     #[test]
     fn record_max_is_a_high_water_mark() {
         static PEAK: Counter = Counter::new("test.peak");

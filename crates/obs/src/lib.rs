@@ -42,12 +42,12 @@
 //! target is a disabled-mode total of at most 2% on the §4.4 engine; no
 //! current benchmark measures it.
 
+#![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
 mod counter;
 pub mod json;
 mod record;
-pub(crate) mod sync;
 
 pub use counter::{counters, Counter};
 pub use json::Value;
@@ -227,8 +227,6 @@ mod tests {
         assert!(lines[1].contains("\"label\":\"hi\\\"there\\\\\""));
     }
 
-    // Registration is compiled out under `--cfg loom` (see `Counter::add`).
-    #[cfg(not(loom))]
     #[test]
     fn flush_counters_snapshots_the_registry() {
         let _gate = serial();

@@ -178,7 +178,7 @@ impl Engine {
         result
     }
 
-    /// Answers a batch on the work-stealing executor, preserving input
+    /// Answers a batch on the fork/join executor, preserving input
     /// order. Each query still gets its own `serve.query` span.
     ///
     /// `stats` reports memoization state (rows materialized, max useful

@@ -13,7 +13,7 @@
 //!   same answering code as the artifact path.
 //!
 //! Batches go through [`Engine::answer_batch`], which fans queries out on
-//! the work-stealing executor (`omnet_analysis::par_map`) while preserving
+//! the fork/join executor (`omnet_analysis::par_map`) while preserving
 //! input order.
 //!
 //! The same engines also serve over the network: [`Server`] routes

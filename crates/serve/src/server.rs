@@ -3,8 +3,9 @@
 //!
 //! No async runtime — the accept loop polls a nonblocking listener and
 //! spawns one plain thread per connection; query batches still fan out on
-//! the work-stealing executor inside [`Engine::answer_batch`], so a single
-//! connection saturates the cores. Each dataset's engine sits behind a
+//! the fork/join executor inside [`Engine::answer_batch`], so a single
+//! connection can use every core (a batch that finds the executor's helper
+//! permits taken by another connection runs inline). Each dataset's engine sits behind a
 //! [`std::sync::RwLock`]: query batches take the read lock and run
 //! concurrently with each other, while a wire delta takes the write lock
 //! and so serializes against every in-flight batch — a response is always

@@ -27,10 +27,8 @@ pub const CITATION_CRATES: &[&str] = &["temporal", "core"];
 /// `atomic-ordering`).
 pub const CONCURRENCY_MODULES: &[&str] = &[
     "crates/analysis/src/executor.rs",
-    "crates/analysis/src/sync.rs",
     "crates/obs/src/counter.rs",
     "crates/obs/src/lib.rs",
-    "crates/obs/src/sync.rs",
     "crates/serve/src/server.rs",
 ];
 

@@ -695,7 +695,8 @@ proptest! {
     /// `profile(d, AtMost(k))` answers. Cases: bounds in arbitrary order
     /// with repeats, `AtMost(0)`, `k` past the stored levels, several
     /// windows including a zero-length one, internal pairs only or all,
-    /// `d == source`, and unreachable pairs.
+    /// `d == source`, unreachable pairs, and the trace padded with isolated
+    /// nodes.
     #[test]
     fn level_walk_matches_reconstructed_profiles(
         trace in split_trace_strategy(),
@@ -723,26 +724,39 @@ proptest! {
             Interval::secs(lo, hi + 50.0),
         ];
         let grid = [0.0, 1.0, 10.0, 60.0, 60.0, 250.0, f64::INFINITY].map(Dur::secs).to_vec();
-        for internal_only in [true, false] {
-            let opts = CurveOptions {
-                bounds: bounds.clone(),
-                grid: grid.clone(),
-                window: None,
-                internal_pairs_only: internal_only,
-                profiles: popts,
-            };
-            let limit = if internal_only { trace.num_internal() } else { trace.num_nodes() };
-            let want = reference_curves(&rows, &opts, &windows, limit);
-            let direct = SuccessCurves::compute_windowed(&trace, &opts, &windows);
-            let refs: Vec<&SourceProfiles> = rows.iter().collect();
-            let loaded = SuccessCurves::from_profiles(&refs, &opts, &windows, trace.num_internal());
-            for (bi, b) in bounds.iter().enumerate() {
-                if bounds[..bi].contains(b) {
-                    continue; // `curve` answers a repeated bound's first slot
+        // The same contacts padded with isolated (external) nodes: the
+        // induction skips sources without a contact, and the curves must
+        // still be bit for bit the specification's over every source.
+        let padded = TraceBuilder::new()
+            .num_nodes(trace.num_nodes() + 1 + (shuffle % 24) as u32)
+            .internal(trace.num_internal())
+            .window(span)
+            .contacts(trace.contacts().iter().copied())
+            .build();
+        let padded_rows = AllPairsProfiles::compute(&padded, popts).into_rows();
+        for (t, t_rows) in [(&trace, &rows), (&padded, &padded_rows)] {
+            for internal_only in [true, false] {
+                let opts = CurveOptions {
+                    bounds: bounds.clone(),
+                    grid: grid.clone(),
+                    window: None,
+                    internal_pairs_only: internal_only,
+                    profiles: popts,
+                };
+                let limit = if internal_only { t.num_internal() } else { t.num_nodes() };
+                let want = reference_curves(t_rows, &opts, &windows, limit);
+                let direct = SuccessCurves::compute_windowed(t, &opts, &windows);
+                let refs: Vec<&SourceProfiles> = t_rows.iter().collect();
+                let loaded = SuccessCurves::from_profiles(&refs, &opts, &windows, t.num_internal());
+                for (bi, b) in bounds.iter().enumerate() {
+                    if bounds[..bi].contains(b) {
+                        continue; // `curve` answers a repeated bound's first slot
+                    }
+                    let want = bits(&want[bi]);
+                    let n = t.num_nodes();
+                    prop_assert_eq!(bits(direct.curve(*b).unwrap()), want.clone(), "compute {:?} n={}", b, n);
+                    prop_assert_eq!(bits(loaded.curve(*b).unwrap()), want, "from_profiles {:?} n={}", b, n);
                 }
-                let want = bits(&want[bi]);
-                prop_assert_eq!(bits(direct.curve(*b).unwrap()), want.clone(), "compute {:?}", b);
-                prop_assert_eq!(bits(loaded.curve(*b).unwrap()), want, "from_profiles {:?}", b);
             }
         }
 
