@@ -9,12 +9,13 @@
 //! * an explicit header — magic, format version, an engine-options
 //!   fingerprint, the dataset key, the node universe and observation
 //!   window, and the shard's source range;
-//! * one checksummed ROWS section holding the delta-aware encoding of each
-//!   source's per-level delivery-function additions
-//!   ([`omnet_core::SourceProfileParts`]);
+//! * one checksummed ROWS section holding each source's row as it is held
+//!   in memory: the per-level delivery-function additions and the tail
+//!   ([`omnet_core::SourceProfiles::levels`] and
+//!   [`omnet_core::SourceProfiles::tail`]);
 //! * one load path, [`map_shard`] / [`map_set`], that validates each
 //!   shard's header when the set is opened and reads, checksums and
-//!   decodes a shard's rows on the first query against it, rebuilding
+//!   decodes a shard's rows on the first query against it, building
 //!   [`omnet_core::SourceProfiles`] *without re-running the induction* —
 //!   corrupted, truncated or version-bumped input is rejected with a typed
 //!   [`ArtifactError`], never decoded into garbage answers.

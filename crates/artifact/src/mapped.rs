@@ -350,7 +350,7 @@ mod tests {
             let expected = &computed[range.begin as usize..range.end as usize];
             assert_eq!(rows.len(), expected.len());
             for (got, want) in rows.iter().zip(expected) {
-                assert_eq!(got.to_parts(), want.to_parts());
+                assert_eq!(got, want);
             }
         }
         for s in 0..6u32 {

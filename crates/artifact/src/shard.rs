@@ -3,7 +3,7 @@
 use crate::codec::{fnv1a64, Reader, Writer};
 use crate::format::{encode_header, ArtifactMeta, ShardRange, SECTION_ROWS};
 use crate::{ArtifactError, BYTES_WRITTEN, WRITES};
-use omnet_core::{SourceProfileParts, SourceProfiles};
+use omnet_core::{LevelRuns, SourceProfiles};
 use omnet_temporal::{LdEa, NodeId, Time};
 use std::path::{Path, PathBuf};
 
@@ -19,10 +19,7 @@ fn encode_run(w: &mut Writer, run: &[(u32, Box<[LdEa]>)]) {
     }
 }
 
-/// One hop level's additions: `(dest, new frontier pairs)` entries.
-type Run = Vec<(u32, Box<[LdEa]>)>;
-
-fn decode_run(r: &mut Reader<'_>) -> Result<Run, ArtifactError> {
+fn decode_run(r: &mut Reader<'_>) -> Result<LevelRuns, ArtifactError> {
     let entries = r.u32("run entry count")? as usize;
     if entries.saturating_mul(8) > r.remaining() {
         return Err(ArtifactError::Truncated {
@@ -54,21 +51,20 @@ fn encode_rows(rows: &[SourceProfiles]) -> Vec<u8> {
     let mut w = Writer::new();
     w.u32(rows.len() as u32);
     for row in rows {
-        let parts = row.to_parts();
-        w.u32(parts.source.0);
-        w.u32(parts.converged_at);
-        w.u8(parts.converged as u8);
-        w.u32(parts.levels.len() as u32);
-        for level in &parts.levels {
+        w.u32(row.source().0);
+        w.u32(row.converged_at().min(u32::MAX as usize) as u32);
+        w.u8(row.converged() as u8);
+        w.u32(row.levels().len() as u32);
+        for level in row.levels() {
             encode_run(&mut w, level);
         }
-        encode_run(&mut w, &parts.tail);
+        encode_run(&mut w, row.tail());
     }
     w.into_vec()
 }
 
-/// Decodes and validates the ROWS section body, reconstructing each row
-/// through [`SourceProfiles::from_parts`] (which re-checks every frontier).
+/// Decodes and validates the ROWS section body, building each row through
+/// [`SourceProfiles::from_parts`] (which re-checks every frontier).
 /// Called by [`crate::mapped`] on a shard's first row access.
 pub(crate) fn decode_rows(
     body: &[u8],
@@ -109,15 +105,14 @@ pub(crate) fn decode_rows(
             levels.push(decode_run(&mut r)?);
         }
         let tail = decode_run(&mut r)?;
-        let parts = SourceProfileParts {
-            source: NodeId(source),
-            num_nodes: meta.num_nodes,
+        rows.push(SourceProfiles::from_parts(
+            NodeId(source),
+            meta.num_nodes,
             converged_at,
             converged,
             levels,
             tail,
-        };
-        rows.push(SourceProfiles::from_parts(parts)?);
+        )?);
     }
     if r.remaining() != 0 {
         return Err(ArtifactError::Corrupt {

@@ -44,9 +44,10 @@ fn validate(trace: &Trace, starts: &[Time], check_zhang: bool) -> Tally {
                     continue;
                 }
                 tally.queries += 1;
-                let a = profiles
-                    .profile(NodeId(s), NodeId(d), HopBound::Unlimited)
-                    .delivery(t0);
+                let a =
+                    profiles
+                        .from_source(NodeId(s))
+                        .delivery(NodeId(d), t0, HopBound::Unlimited);
                 let b = tree.arrival(NodeId(d));
                 let c = fl.delivery(NodeId(d));
                 let mut ok = a == b && b == c;

@@ -11,8 +11,8 @@ use crate::error::CliError;
 use crate::render;
 use omnet_artifact::{write_set, ArtifactError, ArtifactMeta};
 use omnet_core::{
-    optimal_journeys, route_string, AllPairsProfiles, CurveOptions, HopBound, ProfileOptions,
-    SuccessCurves,
+    optimal_journeys, route_string, AllPairsProfiles, Arcs, CurveOptions, HopBound, ProfileOptions,
+    SourceProfiles, SuccessCurves,
 };
 use omnet_flooding::{flood, simulate, uniform_workload, Routing, SimConfig};
 use omnet_mobility::Dataset;
@@ -641,8 +641,9 @@ pub fn journeys(a: &Args) -> Result<String, CliError> {
     if src == dst {
         return Err(CliError::domain("source equals destination"));
     }
-    let profiles = AllPairsProfiles::compute(&trace, ProfileOptions::default());
-    let f = profiles.profile(NodeId(src), NodeId(dst), HopBound::Unlimited);
+    let arcs = Arcs::of(&trace);
+    let row = SourceProfiles::compute(&trace, &arcs, NodeId(src), ProfileOptions::default());
+    let f = row.profile(NodeId(dst), HopBound::Unlimited);
     if f.is_empty() {
         return Ok(format!("no path ever exists from {src} to {dst}\n"));
     }

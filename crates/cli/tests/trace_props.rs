@@ -189,37 +189,112 @@ fn oversized_universes_are_syntax_errors() {
     }
 }
 
+/// Runs the `omnet` binary with two worker threads and returns its output,
+/// failing the test if it is still running after `limit`.
+fn run_within(args: &[&std::ffi::OsStr], limit: std::time::Duration) -> std::process::Output {
+    let mut child = std::process::Command::new(env!("CARGO_BIN_EXE_omnet"))
+        .args(args)
+        .env("OMNET_THREADS", "2")
+        .stdout(std::process::Stdio::piped())
+        .stderr(std::process::Stdio::piped())
+        .spawn()
+        .unwrap();
+    let deadline = std::time::Instant::now() + limit;
+    loop {
+        if child.try_wait().unwrap().is_some() {
+            return child.wait_with_output().unwrap();
+        }
+        if std::time::Instant::now() > deadline {
+            child.kill().ok();
+            child.wait().ok();
+            panic!("`omnet {args:?}` ran past {limit:?}");
+        }
+        std::thread::sleep(std::time::Duration::from_millis(50));
+    }
+}
+
+/// A trace over a universe of `MAX_NODES` whose `contacts` lines touch
+/// only a few of them.
+fn capped_universe_trace(contacts: &str) -> (PathBuf, PathBuf) {
+    let dir = case_dir();
+    let trace = dir.join("sparse.trace");
+    let text = format!("# nodes {}\n{contacts}", omnet_temporal::MAX_NODES);
+    std::fs::write(&trace, text).unwrap();
+    (dir, trace)
+}
+
 /// A universe at `MAX_NODES` with one contact is accepted, and `omnet
 /// diameter` answers it without an all-pairs induction over the isolated
 /// nodes: the binary must exit 0 well inside a generous deadline.
 #[test]
 fn diameter_of_a_capped_universe_with_one_contact_finishes() {
-    let dir = case_dir();
-    let trace = dir.join("sparse.trace");
-    let text = format!("# nodes {}\n0 1 0 10\n", omnet_temporal::MAX_NODES);
-    std::fs::write(&trace, text).unwrap();
-    let mut child = std::process::Command::new(env!("CARGO_BIN_EXE_omnet"))
-        .arg("diameter")
-        .arg(&trace)
-        .stdout(std::process::Stdio::null())
-        .spawn()
-        .unwrap();
-    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(120);
-    let status = loop {
-        if let Some(status) = child.try_wait().unwrap() {
-            break status;
-        }
-        if std::time::Instant::now() > deadline {
-            child.kill().ok();
-            child.wait().ok();
-            panic!(
-                "`omnet diameter` on a {}-node trace ran past 120 s",
-                omnet_temporal::MAX_NODES
-            );
-        }
-        std::thread::sleep(std::time::Duration::from_millis(50));
-    };
-    assert!(status.success(), "`omnet diameter` exited with {status}");
+    let (dir, trace) = capped_universe_trace("0 1 0 10\n");
+    let limit = std::time::Duration::from_secs(120);
+    let out = run_within(&["diameter".as_ref(), trace.as_ref()], limit);
+    assert!(
+        out.status.success(),
+        "`omnet diameter` exited with {}",
+        out.status
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// 400 contacts among 200 nodes of a `MAX_NODES` universe: the curves visit
+/// only the destinations each active source reaches, so `omnet diameter`
+/// costs the contacts, not active sources × universe.
+#[test]
+fn diameter_of_a_capped_universe_with_many_contacts_finishes() {
+    let contacts: String = (0..400u32)
+        .map(|j| {
+            let (a, b) = ((j * 7) % 200, (j * 13 + 1) % 200);
+            let b = if a == b { (b + 1) % 200 } else { b };
+            let start = (j * 37) % 3600;
+            format!("{a} {b} {start} {}\n", start + 120)
+        })
+        .collect();
+    let (dir, trace) = capped_universe_trace(&contacts);
+    let limit = std::time::Duration::from_secs(8);
+    let out = run_within(&["diameter".as_ref(), trace.as_ref()], limit);
+    assert!(
+        out.status.success(),
+        "`omnet diameter` exited with {}",
+        out.status
+    );
+    assert!(String::from_utf8_lossy(&out.stdout).starts_with("(1-0.01)-diameter: "));
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// `omnet precompute` on a `MAX_NODES` universe with one contact writes its
+/// 2²⁰ mostly empty rows without a slot per node per row, and the shards
+/// answer `delivery` byte for byte like the trace does.
+#[test]
+fn precompute_of_a_capped_universe_with_one_contact_finishes() {
+    let (dir, trace) = capped_universe_trace("0 1 0 10\n");
+    let shards = dir.join("shards");
+    let limit = std::time::Duration::from_secs(20);
+    let out = run_within(
+        &["precompute".as_ref(), trace.as_ref(), shards.as_ref()],
+        limit,
+    );
+    assert!(
+        out.status.success(),
+        "`omnet precompute` exited with {}",
+        out.status
+    );
+    let query = ["delivery", "0", "1", "0"].map(std::ffi::OsStr::new);
+    let via_shards = run_within(
+        &[&["query".as_ref(), shards.as_ref()], &query[..]].concat(),
+        limit,
+    );
+    let via_trace = run_within(
+        &[&["delivery".as_ref(), trace.as_ref()], &query[1..]].concat(),
+        limit,
+    );
+    assert!(via_trace.status.success() && via_shards.status.success());
+    assert_eq!(
+        String::from_utf8_lossy(&via_shards.stdout),
+        String::from_utf8_lossy(&via_trace.stdout)
+    );
     std::fs::remove_dir_all(&dir).ok();
 }
 

@@ -198,7 +198,7 @@ impl Arcs {
             }),
         );
         csr.sort_rows_by_key(|&(head, iv, cid)| (iv.end, iv.start, head, cid));
-        let (row_offsets, entries) = csr.into_parts();
+        let (row_offsets, entries) = csr.into_offsets_and_entries();
         let mut arcs = Vec::with_capacity(entries.len());
         let mut contact_ids = Vec::with_capacity(entries.len());
         for (head, iv, cid) in entries {
@@ -278,6 +278,9 @@ pub(crate) struct ProfileScratch {
     added: Vec<LdEa>,
     /// Reusable merge buffer for `DeliveryFunction::absorb_compacted`.
     merge: Vec<LdEa>,
+    /// Destinations whose frontier changed at a level past `store_levels`
+    /// (with repeats): the only ones that can hold tail pairs.
+    late: Vec<u32>,
     /// True while an induction is running: a reset observing it recovers
     /// from a mid-flight panic with a full wipe instead of trusting the
     /// sparse end-of-run cleanup that never happened.
@@ -313,12 +316,12 @@ impl ProfileScratch {
             .resize(words.max(self.reached_words.len()), 0);
         self.arena.clear();
         self.delta_index.clear();
+        self.late.clear();
         self.in_flight = true;
     }
 
-    /// Sparse end-of-run cleanup for the streaming path: clears exactly the
-    /// slots the finished induction populated, leaving their capacity for
-    /// the next source.
+    /// Sparse end-of-run cleanup: clears exactly the slots the finished
+    /// induction populated, leaving their capacity for the next source.
     fn finish(&mut self) {
         for &d in &self.reached {
             self.cur[d as usize].clear();
@@ -327,57 +330,55 @@ impl ProfileScratch {
         self.reached.clear();
         self.arena.clear();
         self.delta_index.clear();
+        self.late.clear();
         self.in_flight = false;
-    }
-
-    /// Moves the reached frontier slots out for a materialized
-    /// [`SourceProfiles`] row, ascending by destination (the pooled slots
-    /// revert to fresh empties), and performs the same end-of-run cleanup
-    /// as [`ProfileScratch::finish`]. Unreached slots are already empty.
-    fn take_rows(&mut self) -> Vec<(u32, DeliveryFunction)> {
-        self.reached.sort_unstable();
-        let cur = &mut self.cur;
-        let rows = self
-            .reached
-            .iter()
-            .map(|&d| (d, std::mem::take(&mut cur[d as usize])))
-            .collect();
-        for &d in &self.reached {
-            self.reached_words[(d >> 6) as usize] &= !(1u64 << (d & 63));
-        }
-        self.reached.clear();
-        self.arena.clear();
-        self.delta_index.clear();
-        self.in_flight = false;
-        rows
     }
 }
 
-/// The non-empty frontiers of a dense per-destination vector, as
-/// `(dest, frontier)` ascending by destination.
-fn sparse(dense: Vec<DeliveryFunction>) -> Vec<(u32, DeliveryFunction)> {
-    dense
-        .into_iter()
-        .enumerate()
-        .filter(|(_, f)| !f.is_empty())
-        .map(|(d, f)| (d as u32, f))
-        .collect()
-}
-
-/// One induction level's stored delta runs: `(dest, added pairs)`,
-/// ascending by destination (§4.4). Level 0 (identity at the source) is
-/// implicit.
+/// One induction level's stored delta runs, or a row's tail: `(dest,
+/// pairs)`, ascending by destination (§4.4). Level 0 (identity at the
+/// source) is implicit.
 ///
 /// Every run is a non-empty frontier: `ld` and `ea` both strictly
 /// increasing. The hop-bounded reads rely on it — the first pair of a run
 /// with `ld >= t` carries that run's minimum available `ea` — so the
 /// induction checks it where it stores a level (under `strict-invariants`)
 /// and [`SourceProfiles::from_parts`] rejects persisted runs that break it.
-pub(crate) type LevelRuns = Vec<(u32, Box<[LdEa]>)>;
+pub type LevelRuns = Vec<(u32, Box<[LdEa]>)>;
+
+/// The run of `dest` in `runs`, empty when it has none.
+fn run_of(runs: &[(u32, Box<[LdEa]>)], dest: u32) -> &[LdEa] {
+    runs.binary_search_by_key(&dest, |(d, _)| *d)
+        .map_or(&[][..], |i| &runs[i].1[..])
+}
+
+/// A row's tail: for each `(dest, fixpoint frontier)` of `frontiers`
+/// (ascending by dest), the frontier pairs that no stored run of `dest`
+/// holds, in frontier order. The source's identity pair counts as stored
+/// (level 0).
+fn tail_of<'a>(
+    levels: &[LevelRuns],
+    source: NodeId,
+    frontiers: impl Iterator<Item = (u32, &'a [LdEa])>,
+) -> LevelRuns {
+    let stored = |d: u32, p: &LdEa| {
+        (d == source.0 && *p == LdEa::EMPTY)
+            || levels.iter().any(|level| {
+                let run = run_of(level, d);
+                run.binary_search_by_key(&p.ld, |q| q.ld)
+                    .is_ok_and(|i| run[i] == *p)
+            })
+    };
+    frontiers
+        .filter_map(|(d, pairs)| {
+            let extra: Box<[LdEa]> = pairs.iter().filter(|p| !stored(d, p)).copied().collect();
+            (!extra.is_empty()).then_some((d, extra))
+        })
+        .collect()
+}
 
 /// What [`SourceProfiles::induct_core`] leaves behind besides the frontiers
-/// themselves (which stay in the scratch for the caller to materialize or
-/// visit in place).
+/// themselves (which stay in the scratch for the caller to read in place).
 struct InductionFixpoint {
     levels: Vec<LevelRuns>,
     converged_at: usize,
@@ -385,24 +386,27 @@ struct InductionFixpoint {
 }
 
 /// Delivery functions from one source to every destination, per hop class
-/// (§4.4).
-#[derive(Debug, Clone)]
+/// (§4.4), held exactly as a shard stores them: the pairs each stored
+/// induction level added, plus a tail.
+///
+/// The `AtMost(k)` frontier of a destination is the Pareto union of the
+/// identity (at the source) and its runs of levels `1..=k`; the unbounded
+/// frontier adds the runs of every stored level and the tail.
+#[derive(Debug, Clone, PartialEq)]
 pub struct SourceProfiles {
     source: NodeId,
-    /// `levels[k-1]`: the delta runs of hop class `k`, for
-    /// `k <= min(store_levels, converged_at)`.
-    levels: Vec<LevelRuns>,
     /// Size of the node universe.
     num_nodes: usize,
-    /// The fixpoint (unbounded hop count) of every reached destination,
-    /// ascending by destination; every other frontier is empty. Most
-    /// sources reach few of a large universe, so rows store no slot for
-    /// the rest.
-    unlimited: Vec<(u32, DeliveryFunction)>,
     /// First level at which no frontier changed (the fixpoint level).
     converged_at: usize,
     /// False if `max_levels` was hit before the fixpoint (pathological).
     converged: bool,
+    /// `levels[k-1]`: the delta runs of hop class `k`, for
+    /// `k <= min(store_levels, converged_at)`.
+    levels: Vec<LevelRuns>,
+    /// The fixpoint pairs no stored run of their destination holds (added
+    /// at a level past `store_levels`), ascending by destination.
+    tail: LevelRuns,
 }
 
 impl SourceProfiles {
@@ -422,32 +426,41 @@ impl SourceProfiles {
     }
 
     /// The materializing induction entry point: runs
-    /// [`SourceProfiles::induct_core`], then moves the pooled frontier
-    /// slots out into an owned row.
-    fn induct(
+    /// [`SourceProfiles::induct_core`], reads the tail off the pooled
+    /// frontiers that changed past `store_levels`, and recycles the
+    /// scratch.
+    pub(crate) fn induct(
         trace: &Trace,
         arcs: &Arcs,
         source: NodeId,
         opts: ProfileOptions,
         scratch: &mut ProfileScratch,
     ) -> SourceProfiles {
-        let n = trace.num_nodes() as usize;
         let fix = SourceProfiles::induct_core(trace, arcs, source, opts, scratch);
+        scratch.late.sort_unstable();
+        scratch.late.dedup();
+        let cur = &scratch.cur;
+        let tail = tail_of(
+            &fix.levels,
+            source,
+            scratch.late.iter().map(|&d| (d, cur[d as usize].pairs())),
+        );
+        scratch.finish();
         SourceProfiles {
             source,
-            num_nodes: n,
-            levels: fix.levels,
-            unlimited: scratch.take_rows(),
+            num_nodes: trace.num_nodes() as usize,
             converged_at: fix.converged_at,
             converged: fix.converged,
+            levels: fix.levels,
+            tail,
         }
     }
 
     /// The induction body shared by every entry point, materializing or
     /// streaming. On return the fixpoint frontiers live in `scratch.cur`
-    /// (with `scratch.reached` listing the non-empty ones); the caller
-    /// either takes them ([`ProfileScratch::take_rows`]) or visits them in
-    /// place and recycles ([`ProfileScratch::finish`]).
+    /// (with `scratch.reached` listing the non-empty ones and
+    /// `scratch.late` those that changed past `store_levels`); the caller
+    /// reads them in place and recycles ([`ProfileScratch::finish`]).
     ///
     /// The hot path is allocation-free in the steady state and touches only
     /// changing destinations: each level extends the previous level's arena
@@ -479,6 +492,7 @@ impl SourceProfiles {
             reached,
             added,
             merge,
+            late,
             ..
         } = scratch;
 
@@ -605,6 +619,8 @@ impl SourceProfiles {
                         .try_for_each(|(_, run)| invariant::validate_frontier(run))
                 });
                 levels.push(level);
+            } else {
+                late.extend(delta_index.iter().map(|&(t, ..)| t));
             }
         }
 
@@ -676,14 +692,72 @@ impl SourceProfiles {
             }
         }
 
+        let tail = tail_of(
+            &levels,
+            source,
+            (0..).zip(&cur).map(|(d, f)| (d, f.pairs())),
+        );
         SourceProfiles {
             source,
             num_nodes: n,
-            levels,
-            unlimited: sparse(cur),
             converged_at,
             converged,
+            levels,
+            tail,
         }
+    }
+
+    /// Builds a row from what a shard holds (the artifact load path),
+    /// validating every run before trusting it.
+    ///
+    /// Rejects out-of-range nodes, unsorted destination runs, and runs that
+    /// are not valid Pareto frontiers with a typed [`ProfilePartsError`] —
+    /// corrupted input never yields a row that answers garbage.
+    pub fn from_parts(
+        source: NodeId,
+        num_nodes: u32,
+        converged_at: u32,
+        converged: bool,
+        levels: Vec<LevelRuns>,
+        tail: LevelRuns,
+    ) -> Result<SourceProfiles, ProfilePartsError> {
+        if source.0 >= num_nodes {
+            return Err(ProfilePartsError::NodeOutOfRange {
+                node: source.0,
+                num_nodes,
+            });
+        }
+        let check_run = |level: Option<u32>, run: &LevelRuns| -> Result<(), ProfilePartsError> {
+            let mut prev: Option<u32> = None;
+            for (d, pairs) in run {
+                if *d >= num_nodes {
+                    return Err(ProfilePartsError::NodeOutOfRange {
+                        node: *d,
+                        num_nodes,
+                    });
+                }
+                if prev.is_some_and(|p| p >= *d) {
+                    return Err(ProfilePartsError::UnsortedDestinations { level });
+                }
+                prev = Some(*d);
+                if pairs.is_empty() || invariant::validate_frontier(pairs).is_err() {
+                    return Err(ProfilePartsError::InvalidFrontier { level, dest: *d });
+                }
+            }
+            Ok(())
+        };
+        for (li, level) in levels.iter().enumerate() {
+            check_run(Some(li as u32 + 1), level)?;
+        }
+        check_run(None, &tail)?;
+        Ok(SourceProfiles {
+            source,
+            num_nodes: num_nodes as usize,
+            converged_at: converged_at as usize,
+            converged,
+            levels,
+            tail,
+        })
     }
 
     /// The source node.
@@ -695,63 +769,65 @@ impl SourceProfiles {
     ///
     /// `AtMost(k)` beyond the stored levels returns the unbounded frontier,
     /// which is exact whenever `k >= converged_at` and an upper bound
-    /// otherwise. A stored `AtMost(k)` query reconstructs the frontier as
-    /// the Pareto union of the level deltas `0..=k` and returns it owned.
+    /// otherwise. The frontier is rebuilt as the Pareto union of the
+    /// identity and the runs of [`SourceProfiles::runs`], and returned
+    /// owned.
     ///
-    /// This is the reconstructing specification of a hop-bounded read. The
-    /// hot paths ([`SourceProfiles::delivery`], [`SourceProfiles::min_hops`]
-    /// and the §4.1 curves) walk the level runs instead and never build it.
+    /// This is the reconstructing specification of a read. The hot paths
+    /// ([`SourceProfiles::delivery`], [`SourceProfiles::min_hops`] and the
+    /// §4.1 curves) walk the runs instead and never build it.
     pub fn profile(&self, dest: NodeId, bound: HopBound) -> Cow<'_, DeliveryFunction> {
-        match bound {
-            HopBound::Unlimited => Cow::Borrowed(self.unbounded(dest)),
-            HopBound::AtMost(k) => {
-                if k > self.levels.len() {
-                    return Cow::Borrowed(self.unbounded(dest));
-                }
-                let mut pairs: Vec<LdEa> = Vec::new();
-                if dest == self.source {
-                    pairs.push(LdEa::EMPTY);
-                }
-                for level in &self.levels[..k] {
-                    if let Ok(i) = level.binary_search_by_key(&dest.0, |(d, _)| *d) {
-                        pairs.extend_from_slice(&level[i].1);
-                    }
-                }
-                Cow::Owned(DeliveryFunction::from_pairs(pairs))
-            }
-        }
+        let identity = (dest == self.source).then_some(LdEa::EMPTY);
+        let runs = self.runs(dest, bound).flatten().copied();
+        Cow::Owned(DeliveryFunction::from_pairs(
+            identity.into_iter().chain(runs),
+        ))
     }
 
-    /// The stored runs of `dest`, one slice per level `1..=k` (clamped to
-    /// the stored levels), empty where that level added nothing for it.
-    pub(crate) fn level_runs(&self, dest: NodeId, k: usize) -> impl Iterator<Item = &[LdEa]> {
-        self.levels[..k.min(self.levels.len())]
+    /// The runs of `dest` whose union (with the identity at the source)
+    /// answers `bound`: one slice per stored level `1..=k`, empty where
+    /// that level added nothing for it, then — for `Unlimited` or a `k`
+    /// past the stored levels — the runs of every stored level and the
+    /// tail run.
+    pub(crate) fn runs(&self, dest: NodeId, bound: HopBound) -> impl Iterator<Item = &[LdEa]> {
+        let (k, tail) = match bound {
+            HopBound::AtMost(k) if k <= self.levels.len() => (k, None),
+            _ => (self.levels.len(), Some(run_of(&self.tail, dest.0))),
+        };
+        self.levels[..k]
             .iter()
-            .map(move |level| {
-                level
-                    .binary_search_by_key(&dest.0, |(d, _)| *d)
-                    .map_or(&[][..], |i| &level[i].1[..])
-            })
+            .map(move |level| run_of(level, dest.0))
+            .chain(tail)
+    }
+
+    /// Every destination a stored run or the tail names, ascending: the
+    /// reached destinations, the source aside.
+    pub(crate) fn reached(&self) -> Vec<u32> {
+        let mut dests: Vec<u32> = self
+            .levels
+            .iter()
+            .chain([&self.tail])
+            .flatten()
+            .map(|(d, _)| *d)
+            .collect();
+        dests.sort_unstable();
+        dests.dedup();
+        dests
     }
 
     /// Optimal delivery time to `dest` for a message created at `t`.
     ///
-    /// A stored `AtMost(k)` is answered without building its frontier: the
-    /// delivery of a union of pair sets is the minimum of each set's
-    /// delivery, and each level run is a frontier, so it is the minimum of
-    /// one binary search per run `0..=k` — identical to
+    /// Answered without building a frontier: the delivery of a union of
+    /// pair sets is the minimum of each set's delivery, and each run is a
+    /// frontier, so it is the minimum of one binary search per run of
+    /// [`SourceProfiles::runs`] — identical to
     /// `self.profile(dest, bound).delivery(t)`.
     pub fn delivery(&self, dest: NodeId, t: Time, bound: HopBound) -> Time {
-        match bound {
-            HopBound::AtMost(k) if k <= self.levels.len() => {
-                // Level 0: the identity delivers at once at the source.
-                let identity = if dest == self.source { t } else { Time::INF };
-                self.level_runs(dest, k)
-                    .map(|run| delivery::frontier_delivery(run, t))
-                    .fold(identity, Time::min)
-            }
-            _ => self.unbounded(dest).delivery(t),
-        }
+        // Level 0: the identity delivers at once at the source.
+        let identity = if dest == self.source { t } else { Time::INF };
+        self.runs(dest, bound)
+            .map(|run| delivery::frontier_delivery(run, t))
+            .fold(identity, Time::min)
     }
 
     /// The smallest stored hop class `k` whose `AtMost(k)` delivery to
@@ -759,12 +835,13 @@ impl SourceProfiles {
     /// prefix minima of the level runs. `None` when `dest` is unreachable
     /// at `t` or no stored class reaches the unbounded arrival.
     pub fn min_hops(&self, dest: NodeId, t: Time) -> Option<usize> {
-        let arrival = self.unbounded(dest).delivery(t);
+        let arrival = self.delivery(dest, t, HopBound::Unlimited);
         if arrival == Time::INF {
             return None;
         }
         let mut best = if dest == self.source { t } else { Time::INF };
-        for (k, run) in self.level_runs(dest, self.levels.len()).enumerate() {
+        let stored = HopBound::AtMost(self.levels.len());
+        for (k, run) in self.runs(dest, stored).enumerate() {
             best = best.min(delivery::frontier_delivery(run, t));
             if best == arrival {
                 return Some(k + 1);
@@ -795,134 +872,15 @@ impl SourceProfiles {
         self.num_nodes
     }
 
-    /// The unbounded frontier of `dest` (empty when `dest` is unreached).
-    fn unbounded(&self, dest: NodeId) -> &DeliveryFunction {
-        static UNREACHED: DeliveryFunction = DeliveryFunction::empty();
-        self.unlimited
-            .binary_search_by_key(&dest.0, |(d, _)| *d)
-            .map_or(&UNREACHED, |i| &self.unlimited[i].1)
+    /// The stored levels: `levels()[k-1]` holds the pairs induction level
+    /// `k` added, per destination.
+    pub fn levels(&self) -> &[LevelRuns] {
+        &self.levels
     }
 
-    /// Decomposes this row into its portable parts for persistence.
-    ///
-    /// The decomposition is lossless up to frontier semantics —
-    /// reassembling with [`SourceProfiles::from_parts`] yields a row whose
-    /// [`SourceProfiles::profile`] answers are identical for every
-    /// `(dest, bound)` (Pareto union is insensitive to which dominated
-    /// pairs a delta happened to record).
-    pub fn to_parts(&self) -> SourceProfileParts {
-        let n = self.num_nodes;
-        let levels = self.levels.clone();
-        // Tail: unbounded-frontier pairs not present in any stored delta
-        // (levels past `store_levels`, or everything when no levels are
-        // stored). Every *stored* pair is weakly dominated by some final
-        // pair, so `stored ∪ tail` compacts back to exactly `unlimited`.
-        let mut stored: Vec<Vec<LdEa>> = vec![Vec::new(); n];
-        stored[self.source.index()].push(LdEa::EMPTY);
-        for level in &levels {
-            for (d, pairs) in level {
-                stored[*d as usize].extend_from_slice(pairs);
-            }
-        }
-        let mut tail: Vec<(u32, Box<[LdEa]>)> = Vec::new();
-        for (d, f) in &self.unlimited {
-            let extra: Vec<LdEa> = f
-                .pairs()
-                .iter()
-                .copied()
-                .filter(|p| !stored[*d as usize].contains(p))
-                .collect();
-            if !extra.is_empty() {
-                tail.push((*d, extra.into_boxed_slice()));
-            }
-        }
-        SourceProfileParts {
-            source: self.source,
-            num_nodes: n as u32,
-            converged_at: self.converged_at.min(u32::MAX as usize) as u32,
-            converged: self.converged,
-            levels,
-            tail,
-        }
-    }
-
-    /// Reassembles a row from parts (the artifact load path), validating
-    /// every run before trusting it.
-    ///
-    /// Rejects out-of-range nodes, unsorted destination runs, and runs that
-    /// are not valid Pareto frontiers with a typed [`ProfilePartsError`] —
-    /// corrupted input never yields a row that answers garbage.
-    pub fn from_parts(parts: SourceProfileParts) -> Result<SourceProfiles, ProfilePartsError> {
-        let n = parts.num_nodes as usize;
-        if parts.source.index() >= n {
-            return Err(ProfilePartsError::NodeOutOfRange {
-                node: parts.source.0,
-                num_nodes: parts.num_nodes,
-            });
-        }
-        let check_run =
-            |level: Option<u32>, run: &[(u32, Box<[LdEa]>)]| -> Result<(), ProfilePartsError> {
-                let mut prev: Option<u32> = None;
-                for (d, pairs) in run {
-                    if *d as usize >= n {
-                        return Err(ProfilePartsError::NodeOutOfRange {
-                            node: *d,
-                            num_nodes: parts.num_nodes,
-                        });
-                    }
-                    if prev.is_some_and(|p| p >= *d) {
-                        return Err(ProfilePartsError::UnsortedDestinations { level });
-                    }
-                    prev = Some(*d);
-                    if pairs.is_empty() || invariant::validate_frontier(pairs).is_err() {
-                        return Err(ProfilePartsError::InvalidFrontier { level, dest: *d });
-                    }
-                }
-                Ok(())
-            };
-        for (li, level) in parts.levels.iter().enumerate() {
-            check_run(Some(li as u32 + 1), level)?;
-        }
-        check_run(None, &parts.tail)?;
-
-        // Unbounded frontier: Pareto union of every stored delta plus the
-        // tail (exact — see `to_parts`). Each run list is ascending by
-        // destination (checked above), so one merge visits the reached
-        // destinations in order without a slot per node.
-        let identity: LevelRuns = vec![(parts.source.0, Box::from([LdEa::EMPTY]))];
-        let lists: Vec<&LevelRuns> = parts
-            .levels
-            .iter()
-            .chain([&parts.tail, &identity])
-            .collect();
-        let mut at = vec![0usize; lists.len()];
-        let mut unlimited = Vec::new();
-        let mut pairs = Vec::new();
-        let head = |at: &[usize]| -> Option<u32> {
-            lists
-                .iter()
-                .zip(at)
-                .filter_map(|(l, &i)| l.get(i).map(|r| r.0))
-                .min()
-        };
-        while let Some(d) = head(&at) {
-            for (list, i) in lists.iter().zip(&mut at) {
-                if let Some((_, run)) = list.get(*i).filter(|r| r.0 == d) {
-                    pairs.extend_from_slice(run);
-                    *i += 1;
-                }
-            }
-            unlimited.push((d, DeliveryFunction::from_pairs(pairs.drain(..))));
-        }
-
-        Ok(SourceProfiles {
-            source: parts.source,
-            num_nodes: n,
-            levels: parts.levels,
-            unlimited,
-            converged_at: parts.converged_at as usize,
-            converged: parts.converged,
-        })
+    /// The fixpoint pairs that no stored level holds, per destination.
+    pub fn tail(&self) -> &LevelRuns {
+        &self.tail
     }
 }
 
@@ -944,31 +902,6 @@ fn level_diff(prev: &[DeliveryFunction], cur: &[DeliveryFunction]) -> LevelRuns 
         }
     }
     out
-}
-
-/// Portable decomposition of one [`SourceProfiles`] row — the level deltas
-/// and unbounded-frontier tail that the §4.4 induction produced — used as
-/// the interchange shape between the engine and persisted artifacts.
-///
-/// `levels[k-1]` holds the `(dest, pairs added at level k)` runs, ascending
-/// by destination; level 0 (identity at the source) is implicit. `tail`
-/// holds unbounded-frontier pairs not present in any stored level. See
-/// [`SourceProfiles::to_parts`] / [`SourceProfiles::from_parts`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct SourceProfileParts {
-    /// The source node of the row.
-    pub source: NodeId,
-    /// Number of nodes in the trace universe.
-    pub num_nodes: u32,
-    /// First level at which the induction reached its fixpoint.
-    pub converged_at: u32,
-    /// False if `max_levels` stopped the induction early.
-    pub converged: bool,
-    /// Per-level `(dest, added pairs)` runs, ascending by dest within each
-    /// level; `levels[k-1]` is induction level `k`.
-    pub levels: Vec<Vec<(u32, Box<[LdEa]>)>>,
-    /// Unbounded-frontier pairs beyond the stored levels, ascending by dest.
-    pub tail: Vec<(u32, Box<[LdEa]>)>,
 }
 
 /// Why [`SourceProfiles::from_parts`] or [`AllPairsProfiles::from_rows`]
@@ -1414,11 +1347,11 @@ mod tests {
         assert!(dup_ids[0] < dup_ids[1]);
     }
 
-    /// Regression: sparse / non-contiguous node ids (declared universe
+    /// Regression: non-contiguous node ids (declared universe
     /// larger than the touched ids) must index correctly through the CSR
     /// offsets — empty rows for the gaps, engine equal to the naive spec.
     #[test]
-    fn sparse_node_ids_route_through_shared_arcs() {
+    fn gapped_node_ids_route_through_shared_arcs() {
         let t = TraceBuilder::new()
             .num_nodes(10)
             .contact_secs(0, 5, 0.0, 10.0)
@@ -1447,16 +1380,12 @@ mod tests {
         let f = p.profile(NodeId(0), NodeId(9), HopBound::Unlimited);
         assert_eq!(f.delivery(Time::ZERO), Time::secs(20.0));
 
-        // A row keeps a fixpoint frontier only for the reached destinations,
-        // computed or rebuilt from parts.
+        // A row names only the reached destinations, and rebuilds from its
+        // parts into an equal row.
         let row = SourceProfiles::compute(&t, &arcs, NodeId(0), ProfileOptions::default());
-        let back = SourceProfiles::from_parts(row.to_parts()).expect("own parts are valid");
-        for r in [&row, &back] {
-            let reached: Vec<u32> = r.unlimited.iter().map(|(d, _)| *d).collect();
-            assert_eq!(reached, vec![0, 5, 9]);
-            assert_eq!(r.num_nodes(), 10);
-            assert!(r.profile(NodeId(3), HopBound::Unlimited).is_empty());
-        }
+        assert_eq!(row.reached(), vec![5, 9]);
+        assert_eq!(rebuilt(&row), row);
+        assert!(row.profile(NodeId(3), HopBound::Unlimited).is_empty());
     }
 
     #[test]
@@ -1755,8 +1684,21 @@ mod tests {
         assert!(AllPairsProfiles::compute_range(&t, opts, 2..2).is_empty());
     }
 
+    /// `row` rebuilt through the validating constructor from its parts.
+    fn rebuilt(row: &SourceProfiles) -> SourceProfiles {
+        SourceProfiles::from_parts(
+            row.source(),
+            row.num_nodes() as u32,
+            row.converged_at() as u32,
+            row.converged(),
+            row.levels().to_vec(),
+            row.tail().clone(),
+        )
+        .expect("own parts are valid")
+    }
+
     #[test]
-    fn parts_roundtrip_every_store_depth() {
+    fn rows_equal_the_naive_spec_and_rebuild_from_parts_at_every_store_depth() {
         let t = TraceBuilder::new()
             .contact_secs(0, 1, 0.0, 10.0)
             .contact_secs(1, 2, 5.0, 15.0)
@@ -1766,38 +1708,23 @@ mod tests {
             .contact_secs(1, 3, 105.0, 130.0)
             .build();
         let arcs = Arcs::of(&t);
-        // Include a low store_levels so the tail is exercised.
-        let mut combos = knob_combos();
-        combos.push(ProfileOptions::builder().store_levels(1).build());
-        combos.push(ProfileOptions::builder().store_levels(0).build());
-        for opts in combos {
-            for s in 0..4u32 {
-                let orig = SourceProfiles::compute(&t, &arcs, NodeId(s), opts);
-                let naive = SourceProfiles::compute_naive(&t, &arcs, NodeId(s), opts);
-                for (what, from) in [("engine", &orig), ("naive", &naive)] {
-                    let back =
-                        SourceProfiles::from_parts(from.to_parts()).expect("own parts are valid");
-                    assert_eq!(back.source(), orig.source());
-                    assert_eq!(back.converged_at(), orig.converged_at());
-                    assert_eq!(back.converged(), orig.converged());
-                    assert_eq!(back.stored_levels(), orig.stored_levels());
-                    assert_eq!(back.num_nodes(), orig.num_nodes());
-                    for d in 0..4u32 {
-                        for k in 0..=orig.stored_levels() + 2 {
-                            assert_eq!(
-                                back.profile(NodeId(d), HopBound::AtMost(k)).pairs(),
-                                orig.profile(NodeId(d), HopBound::AtMost(k)).pairs(),
-                                "{s}->{d} at k={k} with {opts:?} rebuilt from {what} parts"
-                            );
-                        }
-                        assert_eq!(
-                            back.profile(NodeId(d), HopBound::Unlimited).pairs(),
-                            orig.profile(NodeId(d), HopBound::Unlimited).pairs()
-                        );
-                    }
+        let mut tails = 0;
+        for store in 0..=3 {
+            for max in [1, 2, 64] {
+                let opts = ProfileOptions::builder()
+                    .store_levels(store)
+                    .max_levels(max)
+                    .build();
+                for s in 0..4u32 {
+                    let fast = SourceProfiles::compute(&t, &arcs, NodeId(s), opts);
+                    let naive = SourceProfiles::compute_naive(&t, &arcs, NodeId(s), opts);
+                    assert_eq!(fast, naive, "source {s} with {opts:?}");
+                    assert_eq!(rebuilt(&fast), fast);
+                    tails += fast.tail().len();
                 }
             }
         }
+        assert!(tails > 0, "no case put a pair in a tail");
     }
 
     #[test]
@@ -1805,38 +1732,36 @@ mod tests {
         let t = line_trace();
         let arcs = Arcs::of(&t);
         let good = SourceProfiles::compute(&t, &arcs, NodeId(0), ProfileOptions::default());
-
-        let mut bad = good.to_parts();
-        bad.source = NodeId(99);
+        let build = |source: u32, levels: Vec<LevelRuns>| {
+            SourceProfiles::from_parts(NodeId(source), 4, 3, true, levels, LevelRuns::new())
+        };
         assert!(matches!(
-            SourceProfiles::from_parts(bad),
+            build(99, good.levels().to_vec()),
             Err(ProfilePartsError::NodeOutOfRange { node: 99, .. })
         ));
 
-        let mut bad = good.to_parts();
-        if let Some(level) = bad.levels.first_mut() {
-            level.reverse();
-            if level.len() < 2 {
-                // Single-run level cannot be unsorted; force a duplicate.
-                let dup = level[0].clone();
-                level.push(dup);
-            }
-        }
+        let mut bad = good.levels().to_vec();
+        let dup = bad[0][0].clone();
+        bad[0].push(dup);
         assert!(matches!(
-            SourceProfiles::from_parts(bad),
+            build(0, bad),
             Err(ProfilePartsError::UnsortedDestinations { level: Some(1) })
         ));
 
-        let mut bad = good.to_parts();
-        if let Some((_, pairs)) = bad.levels[0].first_mut() {
-            // A doubled pair is weakly dominated — not a strict frontier.
-            let mut v = pairs.to_vec();
-            v.push(v[0]);
-            *pairs = v.into_boxed_slice();
-        }
+        let mut bad = good.levels().to_vec();
+        // A doubled pair is weakly dominated — not a strict frontier.
+        let mut v = bad[0][0].1.to_vec();
+        v.push(v[0]);
+        bad[0][0].1 = v.into_boxed_slice();
         assert!(matches!(
-            SourceProfiles::from_parts(bad),
+            build(0, bad),
             Err(ProfilePartsError::InvalidFrontier { level: Some(1), .. })
+        ));
+
+        let tail = vec![(7, Box::from([LdEa::EMPTY]))];
+        assert!(matches!(
+            SourceProfiles::from_parts(NodeId(0), 4, 3, true, Vec::new(), tail),
+            Err(ProfilePartsError::NodeOutOfRange { node: 7, .. })
         ));
     }
 

@@ -9,9 +9,9 @@
 //! form over a delivery-function frontier, every curve here is an exact
 //! integral over start times, not a sampled estimate.
 
-use crate::algorithm::{Arcs, HopBound, ProfileOptions, SourceProfiles};
+use crate::algorithm::{Arcs, HopBound, ProfileOptions, ProfileScratch, SourceProfiles};
 use crate::delivery::DeliveryFunction;
-use omnet_temporal::{Dur, Interval, NodeId, Time, Trace};
+use omnet_temporal::{Dur, Interval, LdEa, NodeId, Time, Trace};
 
 /// What to aggregate and how when building the §4.1 success curves.
 #[derive(Debug, Clone)]
@@ -101,24 +101,24 @@ impl SuccessCurves {
         } else {
             trace.num_nodes()
         };
-        let nodes: Vec<NodeId> = (0..node_limit).map(NodeId).collect();
         // A source without contacts reaches no one: its partial is all
         // +0.0, and adding +0.0 leaves every (non-negative) sum bitwise
         // unchanged, so only sources with a contact are computed.
-        let active: Vec<NodeId> = nodes
-            .iter()
-            .copied()
+        let active: Vec<NodeId> = (0..node_limit)
+            .map(NodeId)
             .filter(|&s| !arcs.leaving(s).is_empty())
             .collect();
 
         // One partial sum matrix per active source, reduced at the end in
         // ascending source order. Induction and aggregation stay fused per
-        // source so a row's profiles never outlive its partial.
-        let partials = omnet_analysis::par_map(active.len(), |ai| {
-            let prof = SourceProfiles::compute(trace, &arcs, active[ai], opts.profiles);
-            source_partial(&prof, &nodes, opts, windows, &weights)
-        });
-        SuccessCurves::reduce(opts, partials, nodes.len())
+        // source so a row's profiles never outlive its partial; each worker
+        // pools one induction scratch across its sources.
+        let partials =
+            omnet_analysis::par_map_with(active.len(), ProfileScratch::default, |scratch, ai| {
+                let prof = SourceProfiles::induct(trace, &arcs, active[ai], opts.profiles, scratch);
+                source_partial(&prof, node_limit, opts, windows, &weights)
+            });
+        SuccessCurves::reduce(opts, partials, node_limit as usize)
     }
 
     /// Aggregates the curves from already-computed profile rows — the
@@ -159,11 +159,10 @@ impl SuccessCurves {
                 "rows must be sources 0..{node_limit} in ascending order"
             );
         }
-        let nodes: Vec<NodeId> = (0..node_limit).map(NodeId).collect();
-        let partials = omnet_analysis::par_map(nodes.len(), |si| {
-            source_partial(rows[si], &nodes, opts, windows, &weights)
+        let partials = omnet_analysis::par_map(node_limit as usize, |si| {
+            source_partial(rows[si], node_limit, opts, windows, &weights)
         });
-        SuccessCurves::reduce(opts, partials, nodes.len())
+        SuccessCurves::reduce(opts, partials, node_limit as usize)
     }
 
     /// Sums per-source partials and normalizes by the ordered-pair count.
@@ -296,20 +295,26 @@ fn validated_weights(opts: &CurveOptions, windows: &[Interval]) -> Vec<f64> {
 }
 
 /// One source's contribution to the curves: the length-weighted success
-/// measure of every `(dest, bound, window, grid point)`, flattened as
-/// `acc[bound * grid_len + grid_index]`.
+/// measure of every `(dest, bound, window, grid point)` over destinations
+/// `0..node_limit`, flattened as `acc[bound * grid_len + grid_index]`.
+///
+/// Only the destinations the row reaches are visited: every class of any
+/// other has an empty frontier, whose all-zero evaluation would add +0.0
+/// to sums that start at +0.0 and leave them bitwise unchanged.
 ///
 /// Each destination's hop classes are answered by one forward walk over
-/// its level runs: a running frontier absorbs level `k`'s run, and the
-/// curves (one per window) are re-evaluated only where that frontier
-/// changed; every other class reuses the previous evaluation. Bounds
-/// beyond the stored levels read the unbounded frontier. Each
-/// `(dest, bound)` still adds its per-window values into its own slot in
-/// the same destination-then-window order, so the sums are bitwise those
-/// of evaluating `prof.profile(d, bound)` per class.
+/// its runs: a running frontier absorbs level `k`'s run, and the curves
+/// (one per window) are re-evaluated only where that frontier changed;
+/// every other class reuses the previous evaluation. The unbounded class
+/// (and any bound beyond the stored levels) is the last step of the walk:
+/// the frontier absorbs the remaining levels and the tail, and is stale
+/// only if that added a pair. Each `(dest, bound)` still adds its
+/// per-window values into its own slot in the same destination-then-window
+/// order, so the sums are bitwise those of evaluating
+/// `prof.profile(d, bound)` per class.
 fn source_partial(
     prof: &SourceProfiles,
-    nodes: &[NodeId],
+    node_limit: u32,
     opts: &CurveOptions,
     windows: &[Interval],
     weights: &[f64],
@@ -329,53 +334,55 @@ fn source_partial(
         })
         .collect();
     order.sort_by_key(|&(k, _)| (k.is_none(), k));
-    let deepest = order.iter().filter_map(|&(k, _)| k).max().unwrap_or(0);
 
     let mut frontier = DeliveryFunction::empty();
     let (mut run, mut added, mut merged) = (Vec::new(), Vec::new(), Vec::new());
     let mut suffix = Vec::new();
     let mut curves: Vec<Vec<f64>> = vec![Vec::new(); windows.len()];
-    for &d in nodes {
+    for d in prof
+        .reached()
+        .into_iter()
+        .take_while(|&d| d < node_limit)
+        .map(NodeId)
+    {
         if d == s {
             continue;
         }
         frontier.clear();
-        let mut runs = prof.level_runs(d, deepest);
+        let mut runs = prof.runs(d, HopBound::Unlimited);
         let mut level = 0;
-        let unbounded = prof.profile(d, HopBound::Unlimited);
-        // Which frontier `curves` was evaluated on: none yet, the walked
-        // one (`Some(false)`) or the unbounded one (`Some(true)`). `zero`
-        // marks an all-zero evaluation, whose adds would leave every slot
-        // bitwise unchanged (the sums start at +0.0), so they are skipped.
-        let mut held: Option<bool> = None;
+        // Whether `curves` holds an evaluation of the current frontier.
+        // `zero` marks an all-zero evaluation, whose adds would leave every
+        // slot bitwise unchanged, so they are skipped.
+        let mut held = false;
         let mut zero = false;
         for &(k, bi) in &order {
-            let stale = match k {
+            let mut absorb = |r: &[LdEa]| {
+                run.clear();
+                run.extend_from_slice(r);
+                frontier.absorb_compacted(&mut run, &mut added, &mut merged);
+                !added.is_empty()
+            };
+            let mut changed = !held;
+            match k {
                 Some(k) => {
-                    let mut changed = held.is_none();
                     while level < k {
                         level += 1;
-                        run.clear();
-                        run.extend_from_slice(runs.next().unwrap_or_default());
-                        frontier.absorb_compacted(&mut run, &mut added, &mut merged);
-                        changed |= !added.is_empty();
+                        changed |= absorb(runs.next().unwrap_or_default());
                     }
-                    changed
                 }
-                // The walked frontier often already is the unbounded one.
-                None => match held {
-                    Some(false) => frontier != *unbounded,
-                    Some(true) => false,
-                    None => true,
-                },
-            };
-            if stale {
-                let f = if k.is_some() { &frontier } else { &*unbounded };
+                None => {
+                    for r in runs.by_ref() {
+                        changed |= absorb(r);
+                    }
+                }
+            }
+            if changed {
                 for (curve, w) in curves.iter_mut().zip(windows) {
-                    f.success_curve_into(*w, &opts.grid, &mut suffix, curve);
+                    frontier.success_curve_into(*w, &opts.grid, &mut suffix, curve);
                 }
                 zero = curves.iter().flatten().all(|&v| v == 0.0);
-                held = Some(k.is_none());
+                held = true;
             }
             if zero {
                 continue;

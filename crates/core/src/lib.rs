@@ -52,8 +52,8 @@ pub mod profile_stats;
 pub mod witness;
 
 pub use algorithm::{
-    AllPairsProfiles, Arcs, HopBound, ProfileOptions, ProfileOptionsBuilder, ProfilePartsError,
-    ProfileView, SourceProfileParts, SourceProfiles,
+    AllPairsProfiles, Arcs, HopBound, LevelRuns, ProfileOptions, ProfileOptionsBuilder,
+    ProfilePartsError, ProfileView, SourceProfiles,
 };
 pub use delivery::DeliveryFunction;
 pub use delta::ContactDelta;
@@ -81,8 +81,8 @@ pub use witness::{optimal_journeys, route_string, witness_for_pair};
 /// ```
 pub mod prelude {
     pub use crate::algorithm::{
-        AllPairsProfiles, Arcs, HopBound, ProfileOptions, ProfileOptionsBuilder, ProfilePartsError,
-        ProfileView, SourceProfileParts, SourceProfiles,
+        AllPairsProfiles, Arcs, HopBound, LevelRuns, ProfileOptions, ProfileOptionsBuilder,
+        ProfilePartsError, ProfileView, SourceProfiles,
     };
     pub use crate::delivery::DeliveryFunction;
     pub use crate::delta::ContactDelta;

@@ -575,12 +575,9 @@ impl Engine {
 /// appending it cannot change the row — the memo-invalidation test of
 /// [`Engine::apply_delta`].
 fn row_may_use(row: &SourceProfiles, c: &Contact) -> bool {
-    let boardable = |d: NodeId| {
-        row.profile(d, HopBound::Unlimited)
-            .pairs()
-            .first()
-            .is_some_and(|p| p.ea <= c.end())
-    };
+    // The earliest arrival at `d` is the delivery of a message created at
+    // -∞: the minimum first `ea` over its runs.
+    let boardable = |d: NodeId| row.delivery(d, Time::NEG_INF, HopBound::Unlimited) <= c.end();
     boardable(c.a) || boardable(c.b)
 }
 

@@ -94,7 +94,7 @@ impl<T: Copy> Csr<T> {
 
     /// The half-open range of row `r` inside [`Csr::entries`] — the hook for
     /// keeping parallel per-entry columns (e.g. contact ids) alongside a
-    /// table whose entries were split out via [`Csr::into_parts`].
+    /// table whose entries were split out via [`Csr::into_offsets_and_entries`].
     pub fn row_range(&self, r: usize) -> std::ops::Range<usize> {
         self.row_offsets[r] as usize..self.row_offsets[r + 1] as usize
     }
@@ -112,7 +112,7 @@ impl<T: Copy> Csr<T> {
     /// Decomposes into `(row_offsets, entries)` — consumers that want to
     /// re-shape the entry array (split columns, re-type) take ownership and
     /// keep the offsets table as their own row index.
-    pub fn into_parts(self) -> (Vec<u32>, Vec<T>) {
+    pub fn into_offsets_and_entries(self) -> (Vec<u32>, Vec<T>) {
         (self.row_offsets, self.entries)
     }
 }
@@ -153,7 +153,7 @@ mod tests {
     #[test]
     fn row_ranges_align_with_parallel_columns() {
         let csr = Csr::build(3, [(1u32, 10u8), (0, 20), (1, 30)]);
-        let (offsets, entries) = csr.clone().into_parts();
+        let (offsets, entries) = csr.clone().into_offsets_and_entries();
         assert_eq!(offsets, vec![0, 1, 3, 3]);
         assert_eq!(entries, vec![20, 10, 30]);
         assert_eq!(csr.row_range(1), 1..3);

@@ -504,13 +504,84 @@ proptest! {
             }
             prop_assert_eq!(cat.len(), whole.rows().len());
             for (c, w) in cat.iter().zip(whole.rows()) {
-                prop_assert_eq!(
-                    c.to_parts(),
-                    w.to_parts(),
-                    "source {} diverged with {:?}",
-                    w.source(),
-                    opts
-                );
+                prop_assert_eq!(c, w, "source {} diverged with {:?}", w.source(), opts);
+            }
+        }
+    }
+
+    /// For store depths 0–4, under induction caps that stop before the
+    /// fixpoint and under the default cap, the engine's rows equal the
+    /// naive spec's structurally (stored levels and tail both), come back
+    /// unchanged from a shard round trip, and answer the unbounded
+    /// `delivery` and `min_hops` exactly as the reconstructed
+    /// `profile(d, Unlimited)` does.
+    #[test]
+    fn rows_match_naive_spec_and_survive_a_shard_round_trip(
+        trace in trace_strategy(),
+        store in 0usize..5,
+        cap in 0usize..4,
+    ) {
+        let max_levels = [1, 2, 3, 64][cap];
+        let opts = ProfileOptions::builder()
+            .store_levels(store)
+            .max_levels(max_levels)
+            .build();
+        let arcs = Arcs::of(&trace);
+        let rows = AllPairsProfiles::compute(&trace, opts).into_rows();
+        for row in &rows {
+            let naive = SourceProfiles::compute_naive(&trace, &arcs, row.source(), opts);
+            prop_assert_eq!(row, &naive, "source {} with {:?}", row.source(), opts);
+        }
+
+        let meta = ArtifactMeta {
+            dataset_key: "rows".into(),
+            num_nodes: trace.num_nodes(),
+            num_internal: trace.num_internal(),
+            window: trace.span(),
+            options: opts,
+        };
+        let dir = std::env::temp_dir().join(format!(
+            "omnet-row-trip-{}-{store}-{max_levels}-{}",
+            std::process::id(),
+            trace.num_contacts()
+        ));
+        std::fs::remove_dir_all(&dir).ok();
+        omnet_artifact::write_set(&dir, "rows", &meta, &rows, 2)
+            .map_err(|e| TestCaseError::fail(format!("write_set: {e}")))?;
+        let set = omnet_artifact::map_set(&dir)
+            .map_err(|e| TestCaseError::fail(format!("map_set: {e}")))?;
+        for row in &rows {
+            let back = set.row(row.source().0);
+            prop_assert!(matches!(back, Ok(Some(b)) if b == row), "row {} changed", row.source());
+        }
+        std::fs::remove_dir_all(&dir).ok();
+
+        let mut starts = vec![Time::NEG_INF, Time::INF];
+        for c in trace.contacts() {
+            starts.extend([c.start(), c.end(), Time::secs(c.start().as_secs() - 0.5)]);
+        }
+        for row in &rows {
+            for d in trace.nodes() {
+                let f = row.profile(d, HopBound::Unlimited);
+                for &t in &starts {
+                    let want = f.delivery(t);
+                    prop_assert_eq!(row.delivery(d, t, HopBound::Unlimited), want);
+                    let hops = (want != Time::INF)
+                        .then(|| {
+                            (1..=row.stored_levels()).find(|&k| {
+                                row.profile(d, HopBound::AtMost(k)).delivery(t) == want
+                            })
+                        })
+                        .flatten();
+                    prop_assert_eq!(
+                        row.min_hops(d, t),
+                        hops,
+                        "{}->{} at {}",
+                        row.source(),
+                        d,
+                        t
+                    );
+                }
             }
         }
     }
