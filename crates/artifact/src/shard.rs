@@ -7,10 +7,10 @@ use omnet_core::{LevelRuns, SourceProfiles};
 use omnet_temporal::{LdEa, NodeId, Time};
 use std::path::{Path, PathBuf};
 
-fn encode_run(w: &mut Writer, run: &[(u32, Box<[LdEa]>)]) {
+fn encode_run(w: &mut Writer, run: &LevelRuns) {
     w.u32(run.len() as u32);
-    for (dest, pairs) in run {
-        w.u32(*dest);
+    for (dest, pairs) in run.iter() {
+        w.u32(dest);
         w.u32(pairs.len() as u32);
         for p in pairs.iter() {
             w.f64_bits(p.ld.as_secs());
@@ -19,14 +19,16 @@ fn encode_run(w: &mut Writer, run: &[(u32, Box<[LdEa]>)]) {
     }
 }
 
-fn decode_run(r: &mut Reader<'_>) -> Result<LevelRuns, ArtifactError> {
+/// Decodes one level (or tail) of runs, reading each run's pairs through
+/// `pairs`, a buffer reused across runs.
+fn decode_run(r: &mut Reader<'_>, pairs: &mut Vec<LdEa>) -> Result<LevelRuns, ArtifactError> {
     let entries = r.u32("run entry count")? as usize;
     if entries.saturating_mul(8) > r.remaining() {
         return Err(ArtifactError::Truncated {
             context: "run entries",
         });
     }
-    let mut run = Vec::with_capacity(entries);
+    let mut run = LevelRuns::default();
     for _ in 0..entries {
         let dest = r.u32("run destination")?;
         let npairs = r.u32("run pair count")? as usize;
@@ -35,13 +37,13 @@ fn decode_run(r: &mut Reader<'_>) -> Result<LevelRuns, ArtifactError> {
                 context: "run pairs",
             });
         }
-        let mut pairs = Vec::with_capacity(npairs);
+        pairs.clear();
         for _ in 0..npairs {
             let ld = Time::secs(r.f64_bits("pair ld")?);
             let ea = Time::secs(r.f64_bits("pair ea")?);
             pairs.push(LdEa { ld, ea });
         }
-        run.push((dest, pairs.into_boxed_slice()));
+        run.push(dest, pairs);
     }
     Ok(run)
 }
@@ -79,6 +81,7 @@ pub(crate) fn decode_rows(
         });
     }
     let mut rows = Vec::with_capacity(count as usize);
+    let mut pairs = Vec::new();
     for i in 0..count {
         let source = r.u32("row source")?;
         if source != range.begin + i {
@@ -102,9 +105,9 @@ pub(crate) fn decode_rows(
         }
         let mut levels = Vec::with_capacity(level_count);
         for _ in 0..level_count {
-            levels.push(decode_run(&mut r)?);
+            levels.push(decode_run(&mut r, &mut pairs)?);
         }
-        let tail = decode_run(&mut r)?;
+        let tail = decode_run(&mut r, &mut pairs)?;
         rows.push(SourceProfiles::from_parts(
             NodeId(source),
             meta.num_nodes,

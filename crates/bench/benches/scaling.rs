@@ -1,9 +1,10 @@
 //! Large-N scale gate for the §4.4 profile engine.
 //!
 //! A *full* all-pairs run over the 10⁵-node `large_community` hierarchical
-//! preset, streamed through `AllPairsProfiles::map_range` (materializing
-//! 10⁵ × 10⁵ frontiers is hundreds of gigabytes; the streaming visitor
-//! keeps memory at O(workers × one source's frontiers)). The gate requires
+//! preset, streamed through `AllPairsProfiles::for_each_row` (keeping
+//! 10⁵ rows of 10⁵ destinations is hundreds of gigabytes; the visitor
+//! folds each row into its reached count and drops it, so memory stays at
+//! O(workers × one row)). The gate requires
 //! completion within the wall-clock budget and records the run's wall time
 //! and peak RSS. It is the only measurement in this process, so the peak
 //! RSS belongs to the generator and the streamed pass alone.
@@ -16,8 +17,9 @@
 //! ```
 
 use omnet_bench::gate::{json_u64, peak_rss_bytes, reset_peak_rss};
-use omnet_core::{AllPairsProfiles, ProfileOptions};
+use omnet_core::{AllPairsProfiles, Arcs, ProfileOptions};
 use omnet_mobility::HierarchicalSpec;
+use omnet_temporal::NodeId;
 use std::time::Instant;
 
 /// Wall-clock budget for the 10⁵-node full all-pairs run, generous enough
@@ -34,12 +36,17 @@ fn main() {
     let big = spec.generate(99);
     let gen_s = t0.elapsed().as_secs_f64();
     // No level snapshots: the streamed run answers unbounded-hop questions,
-    // and snapshots would only add clone traffic the visitor never reads.
+    // so every row is its tail alone.
     let opts = ProfileOptions::builder().store_levels(0).build();
     let n = big.num_nodes();
     let t0 = Instant::now();
+    let sources: Vec<NodeId> = (0..n).map(NodeId).collect();
+    // With no stored level, the tail names every destination a row
+    // reaches except the source itself, which is counted too.
     let reached: Vec<u32> =
-        AllPairsProfiles::map_range(&big, opts, 0..n, |view| view.num_reached() as u32);
+        AllPairsProfiles::for_each_row(&big, &Arcs::of(&big), opts, &sources, |row| {
+            row.tail().len() as u32 + 1
+        });
     let allpairs_s = t0.elapsed().as_secs_f64();
     let rss = peak_rss_bytes();
     let total_reached: u64 = reached.iter().map(|&r| r as u64).sum();
@@ -55,7 +62,7 @@ fn main() {
 
     let json = format!(
         "{{\n  \"bench\": \"scaling\",\n  \
-         \"metric\": \"full streamed all-pairs (map_range, store_levels 0) on the 100k-node \
+         \"metric\": \"full streamed all-pairs (for_each_row, store_levels 0) on the 100k-node \
          hierarchical preset; peak RSS after a high-water-mark reset, generator included\",\n  \
          \"threads\": {threads},\n  \"preset\": \"large_community_100k\",\n  \
          \"nodes\": {n},\n  \"contacts\": {},\n  \"generate_s\": {gen_s:.3},\n  \

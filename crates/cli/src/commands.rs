@@ -762,6 +762,7 @@ pub fn components(a: &Args) -> Result<String, CliError> {
 
 /// `omnet check`.
 pub fn check(a: &Args) -> Result<String, CliError> {
+    use omnet_core::invariants::contact_nodes;
     use omnet_core::{cross_check, CrossCheckOptions};
     let path = a.path(0);
     let oracle = a.switch("--oracle");
@@ -783,6 +784,12 @@ pub fn check(a: &Args) -> Result<String, CliError> {
         trace.num_contacts(),
         trace.span().duration()
     );
+    let ordered_pairs = |m: u64| m * m.saturating_sub(1);
+    let skipped =
+        ordered_pairs(trace.num_nodes().into()) - ordered_pairs(contact_nodes(&trace).len() as u64);
+    if skipped > 0 {
+        let _ = writeln!(text, "skipped {skipped} pairs with a contactless endpoint");
+    }
 
     let hop_classes = if oracle {
         if trace.num_contacts() > 64 {

@@ -264,6 +264,27 @@ fn diameter_of_a_capped_universe_with_many_contacts_finishes() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// `omnet check` on a `MAX_NODES` universe with one contact compares only
+/// the pairs of its two contact nodes, and says how many it skipped.
+#[test]
+fn check_of_a_capped_universe_with_one_contact_finishes() {
+    let (dir, trace) = capped_universe_trace("0 1 0 10\n");
+    let limit = std::time::Duration::from_secs(20);
+    let out = run_within(&["check".as_ref(), trace.as_ref()], limit);
+    assert!(
+        out.status.success(),
+        "`omnet check` exited with {}",
+        out.status
+    );
+    let n = u64::from(omnet_temporal::MAX_NODES);
+    let skipped = format!(
+        "skipped {} pairs with a contactless endpoint\n",
+        n * (n - 1) - 2
+    );
+    assert!(String::from_utf8_lossy(&out.stdout).contains(&skipped));
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// `omnet precompute` on a `MAX_NODES` universe with one contact writes its
 /// 2²⁰ mostly empty rows without a slot per node per row, and the shards
 /// answer `delivery` byte for byte like the trace does.

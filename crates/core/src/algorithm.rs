@@ -32,19 +32,24 @@
 //! * **time-indexed arc pruning** — each CSR row is sorted by interval
 //!   end, so one `partition_point` on a delta's earliest arrival skips
 //!   every contact that ended before the summary could board;
-//! * **arena/bitset frontiers** — each level's delta pairs live in one
-//!   pooled `ProfileScratch` arena with per-destination ranges, and
-//!   word-packed dirty/reached bitsets keep every per-level loop
-//!   proportional to the destinations that actually changed, never to the
-//!   node count;
-//! * **delta level storage** — stored hop classes keep only the per-level
-//!   frontier additions and reconstruct `AtMost(k)` queries on demand,
-//!   so snapshot memory is `O(Σ frontier)` rather than `O(levels × Σ
-//!   frontier)`;
-//! * **streaming all-pairs** — [`AllPairsProfiles::map_range`] hands each
-//!   source's fixpoint to a visitor as a borrowed [`ProfileView`] and
-//!   recycles the frontiers immediately, so a 10⁵-node all-pairs pass
-//!   never materializes all `n²` delivery functions at once.
+//! * **flat level runs and bitset frontiers** — each level's delta pairs
+//!   live in one pooled [`LevelRuns`] (three flat arrays: destinations,
+//!   run ends, pairs), and word-packed dirty/reached bitsets keep every
+//!   per-level loop proportional to the destinations that actually
+//!   changed, never to the node count;
+//! * **delta level storage** — a row keeps only the per-level frontier
+//!   additions plus a tail, each in the same [`LevelRuns`] layout the
+//!   induction builds a level in and a shard writes it as: storing a level
+//!   is one exact-size copy of three arrays, never an allocation per
+//!   (destination, level) run, and `AtMost(k)` queries are reconstructed
+//!   on demand, so row memory is `O(Σ frontier)` rather than `O(levels ×
+//!   Σ frontier)`;
+//! * **one batch entry point** — [`AllPairsProfiles::for_each_row`] runs
+//!   the induction for a list of sources in parallel, one pooled scratch
+//!   per worker, and hands each finished row to a visitor by value: shard
+//!   writers keep the rows, while the §4.1 curves and the 10⁵-node scale
+//!   gate fold each one into a small result and drop it, so a large
+//!   all-pairs pass never holds more than the rows in flight.
 
 use crate::delivery::{self, DeliveryFunction};
 use omnet_obs::Counter;
@@ -74,7 +79,7 @@ static SCRATCH_REUSES: Counter = Counter::new("engine.scratch_reuses");
 /// summed over levels and sources — how sparse the per-level touched set
 /// actually is compared to `levels × n`.
 static FRONTIER_TOUCHED: Counter = Counter::new("engine.frontier_touched");
-/// High-water mark of the pooled per-level delta arena, in `LdEa` pairs
+/// High-water mark of the pooled per-level delta runs, in `LdEa` pairs
 /// (a `record_max` gauge, not a sum).
 static ARENA_HWM: Counter = Counter::new("engine.arena_hwm");
 
@@ -249,8 +254,8 @@ impl Arcs {
 }
 
 /// Reusable working memory of the §4.4 induction, shaped for large `N`:
-/// pooled per-destination frontier and candidate slots, one contiguous
-/// `LdEa` arena holding the current level's delta runs, and word-packed
+/// pooled per-destination frontier and candidate slots, one flat
+/// [`LevelRuns`] holding the current level's delta runs, and word-packed
 /// dirty/reached bitsets. Every per-level loop — extension, absorption,
 /// bookkeeping — is proportional to the destinations whose frontier
 /// actually changed, never to the node count, and the steady-state hot
@@ -261,11 +266,9 @@ pub(crate) struct ProfileScratch {
     cur: Vec<DeliveryFunction>,
     /// Candidate summaries produced by the extension step, per destination.
     cands: Vec<Vec<LdEa>>,
-    /// The current level's delta pairs: one contiguous run per entry of
-    /// `delta_index` (each run a valid compacted frontier).
-    arena: Vec<LdEa>,
-    /// `(dest, start, end)` runs into `arena`, ascending by dest.
-    delta_index: Vec<(u32, u32, u32)>,
+    /// The current level's delta runs, ascending by destination (each run
+    /// a valid compacted frontier).
+    delta: LevelRuns,
     /// Word-packed dirty bits: destination received candidates this level.
     dirty: Vec<u64>,
     /// Destinations marked dirty this level (sorted before absorption).
@@ -314,8 +317,7 @@ impl ProfileScratch {
         self.dirty.resize(words.max(self.dirty.len()), 0);
         self.reached_words
             .resize(words.max(self.reached_words.len()), 0);
-        self.arena.clear();
-        self.delta_index.clear();
+        self.delta.clear();
         self.late.clear();
         self.in_flight = true;
     }
@@ -328,28 +330,96 @@ impl ProfileScratch {
             self.reached_words[(d >> 6) as usize] &= !(1u64 << (d & 63));
         }
         self.reached.clear();
-        self.arena.clear();
-        self.delta_index.clear();
+        self.delta.clear();
         self.late.clear();
         self.in_flight = false;
     }
 }
 
-/// One induction level's stored delta runs, or a row's tail: `(dest,
-/// pairs)`, ascending by destination (§4.4). Level 0 (identity at the
-/// source) is implicit.
+/// One induction level's stored delta runs, or a row's tail: for each
+/// destination with a run, ascending, its pairs (§4.4). Level 0 (identity
+/// at the source) is implicit.
+///
+/// The runs are held flat, exactly as a shard lays them out: the
+/// destinations, the end of each run in one shared pair array, and that
+/// array. Filling a level costs no allocation per run, and a finished one
+/// keeps no spare capacity.
 ///
 /// Every run is a non-empty frontier: `ld` and `ea` both strictly
 /// increasing. The hop-bounded reads rely on it — the first pair of a run
 /// with `ld >= t` carries that run's minimum available `ea` — so the
 /// induction checks it where it stores a level (under `strict-invariants`)
 /// and [`SourceProfiles::from_parts`] rejects persisted runs that break it.
-pub type LevelRuns = Vec<(u32, Box<[LdEa]>)>;
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct LevelRuns {
+    /// Destinations with a run, ascending.
+    dests: Vec<u32>,
+    /// `offsets[i]`: the end of run `i` in `pairs`; run `i` starts where
+    /// run `i - 1` ends.
+    offsets: Vec<u32>,
+    /// Every run's pairs, back to back in destination order.
+    pairs: Vec<LdEa>,
+}
 
-/// The run of `dest` in `runs`, empty when it has none.
-fn run_of(runs: &[(u32, Box<[LdEa]>)], dest: u32) -> &[LdEa] {
-    runs.binary_search_by_key(&dest, |(d, _)| *d)
-        .map_or(&[][..], |i| &runs[i].1[..])
+impl LevelRuns {
+    /// Appends `run` as the run of `dest`. Runs must be pushed in
+    /// ascending destination order; [`SourceProfiles::from_parts`] rejects
+    /// levels that are not.
+    pub fn push(&mut self, dest: u32, run: &[LdEa]) {
+        self.pairs.extend_from_slice(run);
+        self.dests.push(dest);
+        self.offsets.push(self.pairs.len() as u32);
+    }
+
+    /// Appends the pairs of `run` as the run of `dest`, unless there are
+    /// none.
+    fn push_nonempty(&mut self, dest: u32, run: impl IntoIterator<Item = LdEa>) {
+        let lo = self.pairs.len();
+        self.pairs.extend(run);
+        if self.pairs.len() > lo {
+            self.dests.push(dest);
+            self.offsets.push(self.pairs.len() as u32);
+        }
+    }
+
+    /// The run of `dest`, empty when it has none.
+    pub fn run(&self, dest: u32) -> &[LdEa] {
+        self.dests
+            .binary_search(&dest)
+            .map_or(&[][..], |i| self.run_at(i))
+    }
+
+    /// Every `(dest, run)`, in stored order.
+    pub fn iter(&self) -> impl Iterator<Item = (u32, &[LdEa])> + '_ {
+        (0..self.dests.len()).map(|i| (self.dests[i], self.run_at(i)))
+    }
+
+    /// Number of runs.
+    pub fn len(&self) -> usize {
+        self.dests.len()
+    }
+
+    /// True when no destination has a run.
+    pub fn is_empty(&self) -> bool {
+        self.dests.is_empty()
+    }
+
+    fn run_at(&self, i: usize) -> &[LdEa] {
+        let lo = i.checked_sub(1).map_or(0, |j| self.offsets[j]);
+        &self.pairs[lo as usize..self.offsets[i] as usize]
+    }
+
+    fn clear(&mut self) {
+        self.dests.clear();
+        self.offsets.clear();
+        self.pairs.clear();
+    }
+
+    fn shrink_to_fit(&mut self) {
+        self.dests.shrink_to_fit();
+        self.offsets.shrink_to_fit();
+        self.pairs.shrink_to_fit();
+    }
 }
 
 /// A row's tail: for each `(dest, fixpoint frontier)` of `frontiers`
@@ -364,25 +434,17 @@ fn tail_of<'a>(
     let stored = |d: u32, p: &LdEa| {
         (d == source.0 && *p == LdEa::EMPTY)
             || levels.iter().any(|level| {
-                let run = run_of(level, d);
+                let run = level.run(d);
                 run.binary_search_by_key(&p.ld, |q| q.ld)
                     .is_ok_and(|i| run[i] == *p)
             })
     };
-    frontiers
-        .filter_map(|(d, pairs)| {
-            let extra: Box<[LdEa]> = pairs.iter().filter(|p| !stored(d, p)).copied().collect();
-            (!extra.is_empty()).then_some((d, extra))
-        })
-        .collect()
-}
-
-/// What [`SourceProfiles::induct_core`] leaves behind besides the frontiers
-/// themselves (which stay in the scratch for the caller to read in place).
-struct InductionFixpoint {
-    levels: Vec<LevelRuns>,
-    converged_at: usize,
-    converged: bool,
+    let mut tail = LevelRuns::default();
+    for (d, pairs) in frontiers {
+        tail.push_nonempty(d, pairs.iter().filter(|p| !stored(d, p)).copied());
+    }
+    tail.shrink_to_fit();
+    tail
 }
 
 /// Delivery functions from one source to every destination, per hop class
@@ -413,7 +475,7 @@ impl SourceProfiles {
     /// Runs the §4.4 induction for one source with a private scratch.
     ///
     /// Batch callers (many sources on one trace) should prefer
-    /// [`AllPairsProfiles::compute_range`], which parallelizes across
+    /// [`AllPairsProfiles::for_each_row`], which parallelizes across
     /// sources and pools one `ProfileScratch` per worker thread.
     pub fn compute(
         trace: &Trace,
@@ -425,10 +487,18 @@ impl SourceProfiles {
         SourceProfiles::induct(trace, arcs, source, opts, &mut scratch)
     }
 
-    /// The materializing induction entry point: runs
-    /// [`SourceProfiles::induct_core`], reads the tail off the pooled
-    /// frontiers that changed past `store_levels`, and recycles the
-    /// scratch.
+    /// The induction body behind every entry point, on a pooled scratch
+    /// that it leaves recycled for the next source.
+    ///
+    /// The hot path is allocation-free in the steady state and touches only
+    /// changing destinations: each level extends the previous level's delta
+    /// runs through the CSR arc index in ascending-destination order
+    /// (forward memory walk), marks written candidate buffers in a dirty
+    /// bitset, then absorbs exactly the touched destinations — sorted so
+    /// delta runs stay ascending — via the merge-based
+    /// [`DeliveryFunction::absorb_compacted`]. A stored level is a copy of
+    /// the delta runs; the tail is read off the frontiers that changed past
+    /// `store_levels`.
     pub(crate) fn induct(
         trace: &Trace,
         arcs: &Arcs,
@@ -436,46 +506,6 @@ impl SourceProfiles {
         opts: ProfileOptions,
         scratch: &mut ProfileScratch,
     ) -> SourceProfiles {
-        let fix = SourceProfiles::induct_core(trace, arcs, source, opts, scratch);
-        scratch.late.sort_unstable();
-        scratch.late.dedup();
-        let cur = &scratch.cur;
-        let tail = tail_of(
-            &fix.levels,
-            source,
-            scratch.late.iter().map(|&d| (d, cur[d as usize].pairs())),
-        );
-        scratch.finish();
-        SourceProfiles {
-            source,
-            num_nodes: trace.num_nodes() as usize,
-            converged_at: fix.converged_at,
-            converged: fix.converged,
-            levels: fix.levels,
-            tail,
-        }
-    }
-
-    /// The induction body shared by every entry point, materializing or
-    /// streaming. On return the fixpoint frontiers live in `scratch.cur`
-    /// (with `scratch.reached` listing the non-empty ones and
-    /// `scratch.late` those that changed past `store_levels`); the caller
-    /// reads them in place and recycles ([`ProfileScratch::finish`]).
-    ///
-    /// The hot path is allocation-free in the steady state and touches only
-    /// changing destinations: each level extends the previous level's arena
-    /// runs through the CSR arc index in ascending-destination order
-    /// (forward memory walk), marks written candidate buffers in a dirty
-    /// bitset, then absorbs exactly the touched destinations — sorted so
-    /// delta runs stay ascending — via the merge-based
-    /// [`DeliveryFunction::absorb_compacted`].
-    fn induct_core(
-        trace: &Trace,
-        arcs: &Arcs,
-        source: NodeId,
-        opts: ProfileOptions,
-        scratch: &mut ProfileScratch,
-    ) -> InductionFixpoint {
         let n = trace.num_nodes() as usize;
         assert_eq!(arcs.num_nodes(), n, "arcs built for a different trace");
         assert!(source.index() < n, "source outside the node universe");
@@ -484,8 +514,7 @@ impl SourceProfiles {
         let ProfileScratch {
             cur,
             cands,
-            arena,
-            delta_index,
+            delta,
             dirty,
             touched,
             reached_words,
@@ -503,8 +532,7 @@ impl SourceProfiles {
         reached_words[src >> 6] |= 1u64 << (src & 63);
         reached.push(source.0);
 
-        arena.push(LdEa::EMPTY);
-        delta_index.push((source.0, 0, 1));
+        delta.push(source.0, &[LdEa::EMPTY]);
         let mut levels: Vec<LevelRuns> = Vec::new();
         let mut converged_at = opts.max_levels;
         let mut converged = false;
@@ -514,15 +542,14 @@ impl SourceProfiles {
         let mut time_pruned = 0u64;
         let mut cover_skipped = 0u64;
         let mut frontier_touched = 0u64;
-        let mut arena_hwm = arena.len() as u64;
+        let mut delta_hwm = delta.pairs.len() as u64;
 
         for k in 1..=opts.max_levels {
             levels_run += 1;
             // Extension: concatenate every level-(k-1) delta run with every
             // arc its summaries can still board. Runs ascend by destination,
             // so the CSR rows are visited in ascending memory order.
-            for &(m, lo, hi) in delta_index.iter() {
-                let d = &arena[lo as usize..hi as usize];
+            for (m, d) in delta.iter() {
                 let node = NodeId(m);
                 // `d` is a compacted frontier, so its first pair carries the
                 // minimum EA — the boardability threshold for the whole
@@ -562,13 +589,12 @@ impl SourceProfiles {
             }
             // Absorption: fold candidates into the frontiers of exactly the
             // touched destinations, recording what genuinely extended them
-            // as the next level's arena runs. Touched ids are sorted so the
+            // as the next level's delta runs. Touched ids are sorted so the
             // runs ascend by destination (stored levels binary-search them,
             // and determinism requires a canonical order).
             touched.sort_unstable();
             frontier_touched += touched.len() as u64;
-            arena.clear();
-            delta_index.clear();
+            delta.clear();
             for &t in touched.iter() {
                 let ti = t as usize;
                 dirty[ti >> 6] &= !(1u64 << (t & 63));
@@ -577,17 +603,15 @@ impl SourceProfiles {
                 if added.is_empty() {
                     continue;
                 }
-                let lo = arena.len() as u32;
-                arena.extend_from_slice(added);
-                delta_index.push((t, lo, arena.len() as u32));
+                delta.push(t, added);
                 if reached_words[ti >> 6] & (1u64 << (t & 63)) == 0 {
                     reached_words[ti >> 6] |= 1u64 << (t & 63);
                     reached.push(t);
                 }
             }
             touched.clear();
-            arena_hwm = arena_hwm.max(arena.len() as u64);
-            let changed = !delta_index.is_empty();
+            delta_hwm = delta_hwm.max(delta.pairs.len() as u64);
+            let changed = !delta.is_empty();
             if omnet_obs::enabled() {
                 // One record per induction level: how much the frontier
                 // grew (delta pairs) and how big it now is. The reached-set
@@ -598,7 +622,7 @@ impl SourceProfiles {
                     &[
                         ("source", source.0.into()),
                         ("level", k.into()),
-                        ("delta_pairs", arena.len().into()),
+                        ("delta_pairs", delta.pairs.len().into()),
                         ("frontier_pairs", frontier_pairs.into()),
                     ],
                 );
@@ -609,18 +633,14 @@ impl SourceProfiles {
                 break;
             }
             if k <= opts.store_levels {
-                let level: LevelRuns = delta_index
-                    .iter()
-                    .map(|&(t, lo, hi)| (t, arena[lo as usize..hi as usize].into()))
-                    .collect();
                 invariant::enforce(|| {
-                    level
+                    delta
                         .iter()
                         .try_for_each(|(_, run)| invariant::validate_frontier(run))
                 });
-                levels.push(level);
+                levels.push(delta.clone());
             } else {
-                late.extend(delta_index.iter().map(|&(t, ..)| t));
+                late.extend_from_slice(&delta.dests);
             }
         }
 
@@ -629,12 +649,23 @@ impl SourceProfiles {
         ARCS_TIME_PRUNED.add(time_pruned);
         ARCS_COVER_SKIPPED.add(cover_skipped);
         FRONTIER_TOUCHED.add(frontier_touched);
-        ARENA_HWM.record_max(arena_hwm);
+        ARENA_HWM.record_max(delta_hwm);
 
-        InductionFixpoint {
-            levels,
+        late.sort_unstable();
+        late.dedup();
+        let tail = tail_of(
+            &levels,
+            source,
+            late.iter().map(|&d| (d, cur[d as usize].pairs())),
+        );
+        scratch.finish();
+        SourceProfiles {
+            source,
+            num_nodes: n,
             converged_at,
             converged,
+            levels,
+            tail,
         }
     }
 
@@ -718,8 +749,8 @@ impl SourceProfiles {
         num_nodes: u32,
         converged_at: u32,
         converged: bool,
-        levels: Vec<LevelRuns>,
-        tail: LevelRuns,
+        mut levels: Vec<LevelRuns>,
+        mut tail: LevelRuns,
     ) -> Result<SourceProfiles, ProfilePartsError> {
         if source.0 >= num_nodes {
             return Err(ProfilePartsError::NodeOutOfRange {
@@ -729,19 +760,16 @@ impl SourceProfiles {
         }
         let check_run = |level: Option<u32>, run: &LevelRuns| -> Result<(), ProfilePartsError> {
             let mut prev: Option<u32> = None;
-            for (d, pairs) in run {
-                if *d >= num_nodes {
-                    return Err(ProfilePartsError::NodeOutOfRange {
-                        node: *d,
-                        num_nodes,
-                    });
+            for (d, pairs) in run.iter() {
+                if d >= num_nodes {
+                    return Err(ProfilePartsError::NodeOutOfRange { node: d, num_nodes });
                 }
-                if prev.is_some_and(|p| p >= *d) {
+                if prev.is_some_and(|p| p >= d) {
                     return Err(ProfilePartsError::UnsortedDestinations { level });
                 }
-                prev = Some(*d);
+                prev = Some(d);
                 if pairs.is_empty() || invariant::validate_frontier(pairs).is_err() {
-                    return Err(ProfilePartsError::InvalidFrontier { level, dest: *d });
+                    return Err(ProfilePartsError::InvalidFrontier { level, dest: d });
                 }
             }
             Ok(())
@@ -750,6 +778,9 @@ impl SourceProfiles {
             check_run(Some(li as u32 + 1), level)?;
         }
         check_run(None, &tail)?;
+        for runs in levels.iter_mut().chain([&mut tail]) {
+            runs.shrink_to_fit();
+        }
         Ok(SourceProfiles {
             source,
             num_nodes: num_nodes as usize,
@@ -792,11 +823,11 @@ impl SourceProfiles {
     pub(crate) fn runs(&self, dest: NodeId, bound: HopBound) -> impl Iterator<Item = &[LdEa]> {
         let (k, tail) = match bound {
             HopBound::AtMost(k) if k <= self.levels.len() => (k, None),
-            _ => (self.levels.len(), Some(run_of(&self.tail, dest.0))),
+            _ => (self.levels.len(), Some(self.tail.run(dest.0))),
         };
         self.levels[..k]
             .iter()
-            .map(move |level| run_of(level, dest.0))
+            .map(move |level| level.run(dest.0))
             .chain(tail)
     }
 
@@ -807,8 +838,7 @@ impl SourceProfiles {
             .levels
             .iter()
             .chain([&self.tail])
-            .flatten()
-            .map(|(d, _)| *d)
+            .flat_map(|runs| runs.dests.iter().copied())
             .collect();
         dests.sort_unstable();
         dests.dedup();
@@ -888,19 +918,12 @@ impl SourceProfiles {
 /// `prev`, as delta runs ascending by destination — how the naive spec
 /// turns two consecutive full snapshots into one stored hop class.
 fn level_diff(prev: &[DeliveryFunction], cur: &[DeliveryFunction]) -> LevelRuns {
-    let mut out = LevelRuns::new();
-    for (d, (cur, prev)) in cur.iter().zip(prev).enumerate() {
+    let mut out = LevelRuns::default();
+    for (d, (cur, prev)) in (0..).zip(cur.iter().zip(prev)) {
         let prev = prev.pairs();
-        let diff: Vec<LdEa> = cur
-            .pairs()
-            .iter()
-            .copied()
-            .filter(|p| !prev.contains(p))
-            .collect();
-        if !diff.is_empty() {
-            out.push((d as u32, diff.into_boxed_slice()));
-        }
+        out.push_nonempty(d, cur.pairs().iter().copied().filter(|p| !prev.contains(p)));
     }
+    out.shrink_to_fit();
     out
 }
 
@@ -995,63 +1018,6 @@ impl fmt::Display for ProfilePartsError {
 
 impl std::error::Error for ProfilePartsError {}
 
-/// A borrowed view of one source's §4.4 fixpoint, handed to the visitor of
-/// [`AllPairsProfiles::map_range`].
-///
-/// The unbounded delivery frontiers live in the worker's pooled
-/// `ProfileScratch` and are recycled as soon as the visitor returns, so a
-/// streaming all-pairs pass over 10⁵ nodes never materializes all `n²`
-/// frontiers at once. Hop-class snapshots are not exposed here — use the
-/// materializing [`AllPairsProfiles::compute_range`] when `AtMost(k)`
-/// queries are needed.
-#[derive(Debug)]
-pub struct ProfileView<'a> {
-    source: NodeId,
-    frontiers: &'a [DeliveryFunction],
-    reached: &'a [u32],
-    converged_at: usize,
-    converged: bool,
-}
-
-impl ProfileView<'_> {
-    /// The source node of this row.
-    pub fn source(&self) -> NodeId {
-        self.source
-    }
-
-    /// Number of nodes in the trace universe.
-    pub fn num_nodes(&self) -> usize {
-        self.frontiers.len()
-    }
-
-    /// The unbounded (flooding-optimal) delivery function to `dest`.
-    pub fn frontier(&self, dest: NodeId) -> &DeliveryFunction {
-        &self.frontiers[dest.index()]
-    }
-
-    /// Destinations with a non-empty unbounded frontier (the source always
-    /// included), ascending by node id.
-    pub fn reached(&self) -> impl Iterator<Item = NodeId> + '_ {
-        self.reached.iter().map(|&d| NodeId(d))
-    }
-
-    /// Number of reached destinations (including the source itself).
-    pub fn num_reached(&self) -> usize {
-        self.reached.len()
-    }
-
-    /// The level after which nothing changed (see
-    /// [`SourceProfiles::converged_at`]).
-    pub fn converged_at(&self) -> usize {
-        self.converged_at
-    }
-
-    /// False when `max_levels` stopped the induction early.
-    pub fn converged(&self) -> bool {
-        self.converged
-    }
-}
-
 /// All-pairs profiles: one [`SourceProfiles`] per node, computed in
 /// parallel (the "exhaustive algorithm" run of §4.4/§5).
 #[derive(Debug, Clone)]
@@ -1068,14 +1034,12 @@ impl AllPairsProfiles {
         }
     }
 
-    /// The options-taking batch entry point of the §4.4 induction: computes
-    /// the profile rows for the contiguous source range `sources`, parallel
-    /// across sources with one pooled `ProfileScratch` per worker thread.
+    /// The profile rows for the contiguous source range `sources`, in
+    /// source order: [`AllPairsProfiles::for_each_row`] keeping every row.
     ///
     /// This is what `omnet precompute` shards over — each shard is an
     /// independent `compute_range` call — and what
     /// [`AllPairsProfiles::compute`] forwards to with the full range.
-    /// Emits one `engine.all_pairs` span per call.
     ///
     /// # Panics
     /// If `sources` is not a subrange of `0..trace.num_nodes()`.
@@ -1089,76 +1053,42 @@ impl AllPairsProfiles {
             "source range {sources:?} outside universe of {} nodes",
             trace.num_nodes()
         );
-        let mut span = omnet_obs::span("engine.all_pairs")
-            .with("nodes", trace.num_nodes())
-            .with("contacts", trace.num_contacts())
-            .with("first_source", sources.start)
-            .with("num_sources", sources.len());
-        let arcs = Arcs::of(trace);
-        let base = sources.start;
-        let rows =
-            omnet_analysis::par_map_with(sources.len(), ProfileScratch::default, |scratch, i| {
-                SourceProfiles::induct(trace, &arcs, NodeId(base + i as u32), opts, scratch)
-            });
-        let max_hops = rows.iter().map(SourceProfiles::converged_at).max();
-        span.record("max_useful_hops", max_hops.unwrap_or(0));
-        rows
+        let sources: Vec<NodeId> = sources.map(NodeId).collect();
+        AllPairsProfiles::for_each_row(trace, &Arcs::of(trace), opts, &sources, |row| row)
     }
 
-    /// The streaming batch entry point of the §4.4 induction: computes each
-    /// source's fixpoint in the contiguous range `sources` (parallel across
-    /// sources, one pooled `ProfileScratch` per worker) and hands it to
-    /// `visit` as a borrowed [`ProfileView`] whose frontiers are recycled as
-    /// soon as the visitor returns.
+    /// The batch entry point of the §4.4 induction: computes the row of
+    /// each of `sources` (parallel across sources, one pooled
+    /// `ProfileScratch` per worker) and hands it to `visit` by value.
+    /// Returns what `visit` made of each row, in `sources` order.
     ///
-    /// This is the large-N shape of the all-pairs run: memory stays at
-    /// `O(workers × live frontier)` instead of `O(n²)` pairs, so a 10⁵-node
-    /// trace is a streaming pass rather than a materialization. Results are
-    /// returned in source order. Level snapshots are computed but dropped —
-    /// pass `store_levels(0)` to skip that work entirely when only the
-    /// fixpoint matters.
+    /// A visitor that keeps the row collects it; one that folds it into a
+    /// smaller result (the §4.1 curves, a reached count) drops it at once,
+    /// so only the rows in flight are ever held. Emits one
+    /// `engine.all_pairs` span per call.
     ///
     /// # Panics
-    /// If `sources` is not a subrange of `0..trace.num_nodes()`.
-    pub fn map_range<T, F>(
+    /// If `arcs` was not built for `trace`, or a source is outside its
+    /// universe.
+    pub fn for_each_row<T, F>(
         trace: &Trace,
+        arcs: &Arcs,
         opts: ProfileOptions,
-        sources: Range<u32>,
+        sources: &[NodeId],
         visit: F,
     ) -> Vec<T>
     where
         T: Send,
-        F: Fn(ProfileView<'_>) -> T + Sync,
+        F: Fn(SourceProfiles) -> T + Sync,
     {
-        assert!(
-            sources.start <= sources.end && sources.end <= trace.num_nodes(),
-            "source range {sources:?} outside universe of {} nodes",
-            trace.num_nodes()
-        );
         let mut span = omnet_obs::span("engine.all_pairs")
             .with("nodes", trace.num_nodes())
             .with("contacts", trace.num_contacts())
-            .with("first_source", sources.start)
-            .with("num_sources", sources.len())
-            .with("streaming", 1u32);
-        let arcs = Arcs::of(trace);
-        let n = trace.num_nodes() as usize;
-        let base = sources.start;
+            .with("num_sources", sources.len());
         let results =
             omnet_analysis::par_map_with(sources.len(), ProfileScratch::default, |scratch, i| {
-                let source = NodeId(base + i as u32);
-                let fix = SourceProfiles::induct_core(trace, &arcs, source, opts, scratch);
-                scratch.reached.sort_unstable();
-                let view = ProfileView {
-                    source,
-                    frontiers: &scratch.cur[..n],
-                    reached: &scratch.reached,
-                    converged_at: fix.converged_at,
-                    converged: fix.converged,
-                };
-                let out = (fix.converged_at, visit(view));
-                scratch.finish();
-                out
+                let row = SourceProfiles::induct(trace, arcs, sources[i], opts, scratch);
+                (row.converged_at(), visit(row))
             });
         let max_hops = results.iter().map(|(c, _)| *c).max();
         span.record("max_useful_hops", max_hops.unwrap_or(0));
@@ -1386,50 +1316,6 @@ mod tests {
         assert_eq!(row.reached(), vec![5, 9]);
         assert_eq!(rebuilt(&row), row);
         assert!(row.profile(NodeId(3), HopBound::Unlimited).is_empty());
-    }
-
-    #[test]
-    fn map_range_views_match_materialized_rows() {
-        let t = TraceBuilder::new()
-            .contact_secs(0, 1, 0.0, 10.0)
-            .contact_secs(1, 2, 5.0, 15.0)
-            .contact_secs(0, 2, 12.0, 20.0)
-            .contact_secs(2, 3, 14.0, 40.0)
-            .contact_secs(1, 3, 2.0, 3.0)
-            .build();
-        for opts in knob_combos() {
-            let rows = AllPairsProfiles::compute_range(&t, opts, 0..4);
-            let streamed = AllPairsProfiles::map_range(&t, opts, 0..4, |view| {
-                let frontiers: Vec<Vec<LdEa>> = (0..view.num_nodes())
-                    .map(|d| view.frontier(NodeId(d as u32)).pairs().to_vec())
-                    .collect();
-                let reached: Vec<u32> = view.reached().map(|d| d.0).collect();
-                (
-                    view.source().0,
-                    frontiers,
-                    reached,
-                    view.converged_at(),
-                    view.converged(),
-                )
-            });
-            assert_eq!(streamed.len(), rows.len());
-            for (row, (src, frontiers, reached, conv_at, conv)) in rows.iter().zip(&streamed) {
-                assert_eq!(row.source().0, *src);
-                assert_eq!(row.converged_at(), *conv_at);
-                assert_eq!(row.converged(), *conv);
-                let expect_reached: Vec<u32> = (0..4u32)
-                    .filter(|&d| !row.profile(NodeId(d), HopBound::Unlimited).is_empty())
-                    .collect();
-                assert_eq!(reached, &expect_reached, "source {src} with {opts:?}");
-                for d in 0..4u32 {
-                    assert_eq!(
-                        frontiers[d as usize].as_slice(),
-                        row.profile(NodeId(d), HopBound::Unlimited).pairs(),
-                        "{src}->{d} with {opts:?}"
-                    );
-                }
-            }
-        }
     }
 
     #[test]
@@ -1733,32 +1619,47 @@ mod tests {
         let arcs = Arcs::of(&t);
         let good = SourceProfiles::compute(&t, &arcs, NodeId(0), ProfileOptions::default());
         let build = |source: u32, levels: Vec<LevelRuns>| {
-            SourceProfiles::from_parts(NodeId(source), 4, 3, true, levels, LevelRuns::new())
+            SourceProfiles::from_parts(NodeId(source), 4, 3, true, levels, LevelRuns::default())
         };
         assert!(matches!(
             build(99, good.levels().to_vec()),
             Err(ProfilePartsError::NodeOutOfRange { node: 99, .. })
         ));
 
+        // Level 1 rebuilt with `edit` applied to the pairs of its first run.
+        let with_first_run = |edit: &dyn Fn(&mut Vec<LdEa>)| {
+            let mut level = LevelRuns::default();
+            for (i, (d, run)) in good.levels()[0].iter().enumerate() {
+                let mut run = run.to_vec();
+                if i == 0 {
+                    edit(&mut run);
+                }
+                level.push(d, &run);
+            }
+            let mut levels = good.levels().to_vec();
+            levels[0] = level;
+            build(0, levels)
+        };
+        // A doubled pair is weakly dominated — not a strict frontier.
+        assert!(matches!(
+            with_first_run(&|run| run.push(run[0])),
+            Err(ProfilePartsError::InvalidFrontier { level: Some(1), .. })
+        ));
+        assert!(matches!(
+            with_first_run(&|run| run.clear()),
+            Err(ProfilePartsError::InvalidFrontier { level: Some(1), .. })
+        ));
+
         let mut bad = good.levels().to_vec();
-        let dup = bad[0][0].clone();
-        bad[0].push(dup);
+        let (d, run) = good.levels()[0].iter().next().expect("level 1 has a run");
+        bad[0].push(d, run);
         assert!(matches!(
             build(0, bad),
             Err(ProfilePartsError::UnsortedDestinations { level: Some(1) })
         ));
 
-        let mut bad = good.levels().to_vec();
-        // A doubled pair is weakly dominated — not a strict frontier.
-        let mut v = bad[0][0].1.to_vec();
-        v.push(v[0]);
-        bad[0][0].1 = v.into_boxed_slice();
-        assert!(matches!(
-            build(0, bad),
-            Err(ProfilePartsError::InvalidFrontier { level: Some(1), .. })
-        ));
-
-        let tail = vec![(7, Box::from([LdEa::EMPTY]))];
+        let mut tail = LevelRuns::default();
+        tail.push(7, &[LdEa::EMPTY]);
         assert!(matches!(
             SourceProfiles::from_parts(NodeId(0), 4, 3, true, Vec::new(), tail),
             Err(ProfilePartsError::NodeOutOfRange { node: 7, .. })

@@ -9,7 +9,7 @@
 //! form over a delivery-function frontier, every curve here is an exact
 //! integral over start times, not a sampled estimate.
 
-use crate::algorithm::{Arcs, HopBound, ProfileOptions, ProfileScratch, SourceProfiles};
+use crate::algorithm::{AllPairsProfiles, Arcs, HopBound, ProfileOptions, SourceProfiles};
 use crate::delivery::DeliveryFunction;
 use omnet_temporal::{Dur, Interval, LdEa, NodeId, Time, Trace};
 
@@ -110,13 +110,11 @@ impl SuccessCurves {
             .collect();
 
         // One partial sum matrix per active source, reduced at the end in
-        // ascending source order. Induction and aggregation stay fused per
-        // source so a row's profiles never outlive its partial; each worker
-        // pools one induction scratch across its sources.
+        // ascending source order. A row is folded into its partial as soon
+        // as it is computed, so it never outlives it.
         let partials =
-            omnet_analysis::par_map_with(active.len(), ProfileScratch::default, |scratch, ai| {
-                let prof = SourceProfiles::induct(trace, &arcs, active[ai], opts.profiles, scratch);
-                source_partial(&prof, node_limit, opts, windows, &weights)
+            AllPairsProfiles::for_each_row(trace, &arcs, opts.profiles, &active, |row| {
+                source_partial(&row, node_limit, opts, windows, &weights)
             });
         SuccessCurves::reduce(opts, partials, node_limit as usize)
     }

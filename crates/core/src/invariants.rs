@@ -17,7 +17,7 @@
 //!   witnesses, so a failing randomized run pinpoints the exact pair, hop
 //!   bound and start time that separated the implementations.
 
-use crate::algorithm::{AllPairsProfiles, HopBound, ProfileOptions};
+use crate::algorithm::{AllPairsProfiles, Arcs, HopBound, ProfileOptions};
 use crate::bruteforce;
 use crate::delivery::DeliveryFunction;
 use crate::dijkstra::earliest_arrival;
@@ -139,7 +139,18 @@ impl Default for CrossCheckOptions {
     }
 }
 
-/// Cross-checks the three path engines on one (small) trace.
+/// The nodes with at least one contact, ascending: the only ones
+/// [`cross_check`] compares. A pair with a contactless endpoint has no
+/// valid contact sequence (§3), so it is ∅ in every engine.
+pub fn contact_nodes(trace: &Trace) -> Vec<NodeId> {
+    let mut nodes: Vec<NodeId> = trace.contacts().iter().flat_map(|c| [c.a, c.b]).collect();
+    nodes.sort_unstable();
+    nodes.dedup();
+    nodes
+}
+
+/// Cross-checks the three path engines on one (small) trace, over the
+/// ordered pairs of distinct [`contact_nodes`].
 ///
 /// Returns every divergence found, up to `opts.max_divergences`; an empty
 /// vector means the §4.4 induction, the exponential enumeration and the
@@ -147,16 +158,22 @@ impl Default for CrossCheckOptions {
 /// frontier passed [`DeliveryFunction::validate`].
 pub fn cross_check(trace: &Trace, opts: &CrossCheckOptions) -> Vec<Divergence> {
     let mut out = Vec::new();
-    let profiles = AllPairsProfiles::compute(trace, ProfileOptions::default());
-    let n = trace.num_nodes();
+    let nodes = contact_nodes(trace);
+    let rows = AllPairsProfiles::for_each_row(
+        trace,
+        &Arcs::of(trace),
+        ProfileOptions::default(),
+        &nodes,
+        |row| row,
+    );
 
-    'outer: for s in 0..n {
-        for d in 0..n {
-            let (s, d) = (NodeId(s), NodeId(d));
+    'outer: for row in &rows {
+        for &d in &nodes {
+            let s = row.source();
             if s == d {
                 continue;
             }
-            let unlimited = profiles.profile(s, d, HopBound::Unlimited);
+            let unlimited = row.profile(d, HopBound::Unlimited);
             if let Err(violation) = unlimited.validate() {
                 out.push(Divergence::InvalidFrontier {
                     source: s,
@@ -166,7 +183,7 @@ pub fn cross_check(trace: &Trace, opts: &CrossCheckOptions) -> Vec<Divergence> {
             }
             for &k in &opts.hop_classes {
                 let brute = bruteforce::delivery_function(trace, s, d, k);
-                let fast = profiles.profile(s, d, HopBound::AtMost(k));
+                let fast = row.profile(d, HopBound::AtMost(k));
                 if brute.pairs() != fast.pairs() {
                     out.push(Divergence::FrontierMismatch {
                         source: s,
@@ -184,12 +201,11 @@ pub fn cross_check(trace: &Trace, opts: &CrossCheckOptions) -> Vec<Divergence> {
     }
 
     'starts: for &t0 in &opts.starts {
-        for s in 0..n {
-            let s = NodeId(s);
+        for row in &rows {
+            let s = row.source();
             let tree = earliest_arrival(trace, s, t0);
-            for d in 0..n {
-                let d = NodeId(d);
-                let via_profile = profiles.profile(s, d, HopBound::Unlimited).delivery(t0);
+            for &d in &nodes {
+                let via_profile = row.delivery(d, t0, HopBound::Unlimited);
                 let via_dijkstra = tree.arrival(d);
                 if via_profile != via_dijkstra {
                     out.push(Divergence::ArrivalMismatch {

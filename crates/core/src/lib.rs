@@ -53,7 +53,7 @@ pub mod witness;
 
 pub use algorithm::{
     AllPairsProfiles, Arcs, HopBound, LevelRuns, ProfileOptions, ProfileOptionsBuilder,
-    ProfilePartsError, ProfileView, SourceProfiles,
+    ProfilePartsError, SourceProfiles,
 };
 pub use delivery::DeliveryFunction;
 pub use delta::ContactDelta;
@@ -82,7 +82,7 @@ pub use witness::{optimal_journeys, route_string, witness_for_pair};
 pub mod prelude {
     pub use crate::algorithm::{
         AllPairsProfiles, Arcs, HopBound, LevelRuns, ProfileOptions, ProfileOptionsBuilder,
-        ProfilePartsError, ProfileView, SourceProfiles,
+        ProfilePartsError, SourceProfiles,
     };
     pub use crate::delivery::DeliveryFunction;
     pub use crate::delta::ContactDelta;

@@ -365,52 +365,30 @@ proptest! {
         }
     }
 
-    /// The streaming all-pairs walk (`map_range`, frontiers borrowed from
-    /// worker scratch and recycled) observes exactly what the materializing
-    /// path returns, for both store depths: same unbounded frontiers,
-    /// same reached sets, same convergence metadata.
+    /// The one batch entry point, `for_each_row`, over a shuffled and
+    /// usually gapped subset of the sources hands back one result per
+    /// source in exactly that order, and every row it visits equals the
+    /// naive spec's row for that source at both store depths.
     #[test]
-    fn streamed_views_match_materialized_profiles(trace in trace_strategy()) {
-        let n = trace.num_nodes();
+    fn for_each_row_visits_naive_rows_in_source_order(
+        trace in trace_strategy(),
+        keys in prop::collection::vec(0u32..64, 7..8),
+    ) {
+        let arcs = Arcs::of(&trace);
+        // Node `v` is kept when its key is odd, and the kept nodes are
+        // ordered by key: a random, usually non-contiguous permutation.
+        let mut sources: Vec<NodeId> = (0..trace.num_nodes())
+            .filter(|&v| keys[v as usize] % 2 == 1)
+            .map(NodeId)
+            .collect();
+        sources.sort_by_key(|v| (keys[v.index()], v.0));
         for opts in knob_combos() {
-            let streamed = AllPairsProfiles::map_range(&trace, opts, 0..n, |view| {
-                let frontiers: Vec<Vec<omnet_temporal::LdEa>> = (0..n)
-                    .map(|d| view.frontier(NodeId(d)).pairs().to_vec())
-                    .collect();
-                let reached: Vec<NodeId> = view.reached().collect();
-                (
-                    view.source(),
-                    frontiers,
-                    reached,
-                    view.converged_at(),
-                    view.converged(),
-                )
-            });
-            let materialized = AllPairsProfiles::compute(&trace, opts);
-            prop_assert_eq!(streamed.len(), n as usize);
-            for (s, (source, frontiers, reached, converged_at, converged)) in
-                streamed.into_iter().enumerate()
-            {
-                let row = materialized.from_source(NodeId(s as u32));
-                prop_assert_eq!(source, NodeId(s as u32));
-                prop_assert_eq!(converged_at, row.converged_at(), "source {}", s);
-                prop_assert_eq!(converged, row.converged(), "source {}", s);
-                let mut expect_reached = Vec::new();
-                for d in 0..n {
-                    let expect = row.profile(NodeId(d), HopBound::Unlimited);
-                    prop_assert_eq!(
-                        frontiers[d as usize].as_slice(),
-                        expect.pairs(),
-                        "{}->{} with {:?}",
-                        s,
-                        d,
-                        opts
-                    );
-                    if !expect.is_empty() {
-                        expect_reached.push(NodeId(d));
-                    }
-                }
-                prop_assert_eq!(reached, expect_reached, "reached set of {}", s);
+            let rows = AllPairsProfiles::for_each_row(&trace, &arcs, opts, &sources, |row| row);
+            prop_assert_eq!(rows.len(), sources.len());
+            for (row, &s) in rows.iter().zip(&sources) {
+                prop_assert_eq!(row.source(), s);
+                let naive = SourceProfiles::compute_naive(&trace, &arcs, s, opts);
+                prop_assert_eq!(row, &naive, "source {} with {:?}", s, opts);
             }
         }
     }
