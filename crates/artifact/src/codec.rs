@@ -1,18 +1,66 @@
-//! Little-endian byte codec and the FNV-1a checksum shared by the header
-//! and section encoders.
+//! Little-endian byte codec and the checksum shared by the header, the
+//! section table and the row index.
 
 use crate::ArtifactError;
 
-/// FNV-1a, 64-bit: the artifact's section and header checksum. Chosen for
-/// determinism, zero dependencies, and speed — this is an integrity check
-/// against truncation and bit rot, not an adversarial MAC.
-pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        hash ^= b as u64;
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+/// Odd multiplier of a checksum lane step (the 64-bit golden ratio).
+const MULT: u64 = 0x9e37_79b9_7f4a_7c15;
+
+/// Initial lane states: distinct, so equal words in different lanes
+/// leave different states.
+const SEEDS: [u64; 4] = [
+    0xcbf2_9ce4_8422_2325,
+    0x8422_2325_cbf2_9ce4,
+    0x2325_cbf2_9ce4_8422,
+    0x9ce4_8422_2325_cbf2,
+];
+
+/// One lane step. For a fixed word `w` it is a bijection of `lane`
+/// (xor, an odd multiply and an xor-shift are each invertible), and for a
+/// fixed lane it is a bijection of `w`, so changing any one word changes
+/// the lane, and every later step keeps it changed.
+#[inline(always)]
+fn step(lane: u64, w: u64) -> u64 {
+    let x = (lane ^ w).wrapping_mul(MULT);
+    x ^ (x >> 29)
+}
+
+/// The little-endian `u64` of up to 8 bytes, zero-padded.
+#[inline(always)]
+pub(crate) fn word(b: &[u8]) -> u64 {
+    let mut w = [0u8; 8];
+    w[..b.len()].copy_from_slice(b);
+    u64::from_le_bytes(w)
+}
+
+/// The artifact's 64-bit checksum over `bytes`: the header, the options
+/// fingerprint, every section and every row carry one.
+///
+/// Four independent lanes take consecutive little-endian `u64` words in
+/// turn, so the multiplies of a 32-byte block overlap; the lanes, the
+/// tail bytes (zero-padded to one word) and the length are then folded
+/// into one state by the same step. Every step is a bijection of the
+/// state it updates, so any change confined to one word (every single-bit
+/// flip and every single-byte change) changes the result. This is an
+/// integrity check against truncation and bit rot, not an adversarial MAC.
+pub fn checksum(bytes: &[u8]) -> u64 {
+    let mut lanes = SEEDS;
+    let mut blocks = bytes.chunks_exact(32);
+    for b in &mut blocks {
+        lanes[0] = step(lanes[0], word(&b[0..8]));
+        lanes[1] = step(lanes[1], word(&b[8..16]));
+        lanes[2] = step(lanes[2], word(&b[16..24]));
+        lanes[3] = step(lanes[3], word(&b[24..32]));
     }
-    hash
+    let mut words = blocks.remainder().chunks_exact(8);
+    for (lane, w) in lanes.iter_mut().zip(&mut words) {
+        *lane = step(*lane, word(w));
+    }
+    let mut h = step(SEEDS[0], bytes.len() as u64);
+    for lane in lanes {
+        h = step(h, lane);
+    }
+    step(h, word(words.remainder()))
 }
 
 /// Append-only little-endian encoder.
@@ -189,10 +237,20 @@ mod tests {
     }
 
     #[test]
-    fn fnv_reference_vectors() {
-        // Published FNV-1a 64-bit test vectors.
-        assert_eq!(fnv1a64(b""), 0xcbf2_9ce4_8422_2325);
-        assert_eq!(fnv1a64(b"a"), 0xaf63_dc4c_8601_ec8c);
-        assert_eq!(fnv1a64(b"foobar"), 0x85944171f73967e8);
+    fn checksum_covers_length_and_every_word_position() {
+        // Trailing zeros, and zeros in each block and tail position, all
+        // count.
+        let zeros = [0u8; 80];
+        let sums: Vec<u64> = (0..=zeros.len()).map(|n| checksum(&zeros[..n])).collect();
+        let mut sorted = sums.clone();
+        sorted.sort_unstable();
+        sorted.dedup();
+        assert_eq!(sorted.len(), sums.len(), "two zero prefixes collide");
+        // Swapping two words between lanes changes the sum.
+        let mut a = [0u8; 32];
+        a[0] = 1;
+        let mut b = [0u8; 32];
+        b[8] = 1;
+        assert_ne!(checksum(&a), checksum(&b));
     }
 }

@@ -10,21 +10,36 @@
 //! window.start f64-bits  window.end f64-bits
 //! shard: index u32  count u32  begin u32  end u32
 //! options: store_levels u32  max_levels u32
-//! section table: count u32, then per section (id u32, len u64, fnv1a64 u64)
-//! header checksum: fnv1a64 over all preceding header bytes
+//! section table: count u32, then per section (id u32, len u64, checksum u64)
+//! header checksum: checksum over all preceding header bytes
 //! ```
 //!
-//! The options block holds exactly the two [`ProfileOptions`] fields. A
-//! file of any other version — version 1 included, whose options block
-//! was two bytes longer — is refused with
-//! [`ArtifactError::UnsupportedVersion`].
+//! Every checksum is [`codec::checksum`](crate::codec::checksum). The
+//! options block holds exactly the two [`ProfileOptions`] fields.
 //!
-//! Section bodies follow the header sequentially in table order. Unknown
-//! section ids are skipped on load (additive extensions don't bump the
-//! version); any change to the header or an existing section's encoding
-//! bumps [`FORMAT_VERSION`], and loaders reject other versions outright.
+//! Section bodies follow the header sequentially in table order. Version
+//! 3 writes two: ROW_INDEX, then ROWS directly after it.
+//!
+//! ```text
+//! ROW_INDEX: per row (end u64, checksum u64)   # 16 bytes per row
+//! ROWS:      row count u32, then the rows back to back
+//! ```
+//!
+//! Row `i` of the shard occupies ROWS bytes from the previous row's `end`
+//! (4 for the first row) to its own `end`, and its index checksum covers
+//! exactly those bytes. The table checksum of ROW_INDEX covers the index
+//! body, and that of ROWS covers its 4-byte row count, so a reader
+//! verifies the index once per shard and then each row it reads, never
+//! the whole ROWS body. The ROWS body is byte-identical to version 2's.
+//!
+//! A file of any other version is refused with
+//! [`ArtifactError::UnsupportedVersion`]: version 1, whose options block
+//! was two bytes longer, and version 2, which had no row index and one
+//! FNV-1a sum over the whole ROWS body. Unknown section ids are skipped
+//! on load (additive extensions don't bump the version); any change to
+//! the header or an existing section's encoding bumps [`FORMAT_VERSION`].
 
-use crate::codec::{fnv1a64, Reader, Writer};
+use crate::codec::{checksum, Reader, Writer};
 use crate::ArtifactError;
 use omnet_core::ProfileOptions;
 use omnet_temporal::{Interval, Time};
@@ -33,10 +48,20 @@ use omnet_temporal::{Interval, Time};
 pub const MAGIC: [u8; 8] = *b"OMNPROF1";
 
 /// The one format version this build writes and reads.
-pub const FORMAT_VERSION: u32 = 2;
+pub const FORMAT_VERSION: u32 = 3;
 
 /// Section id of the profile-rows payload.
 pub const SECTION_ROWS: u32 = 1;
+
+/// Section id of the per-row index: each row's end offset in the ROWS
+/// body and its checksum.
+pub const SECTION_ROW_INDEX: u32 = 2;
+
+/// Bytes per ROW_INDEX entry: `end` and `checksum`, both `u64`.
+pub(crate) const ROW_INDEX_ENTRY: usize = 16;
+
+/// Bytes of the ROWS body's leading row count.
+pub(crate) const ROWS_PREFIX: usize = 4;
 
 /// Where the header stores its own byte length (a little-endian `u32`).
 pub(crate) const HEADER_LEN_AT: std::ops::Range<usize> = 12..16;
@@ -79,10 +104,11 @@ fn options_bytes(o: &ProfileOptions) -> [u8; 8] {
     [sl[0], sl[1], sl[2], sl[3], ml[0], ml[1], ml[2], ml[3]]
 }
 
-/// Fingerprint of the engine options: FNV-1a over the canonical encoding.
+/// Fingerprint of the engine options: the checksum of their canonical
+/// encoding.
 /// Two artifacts are query-compatible only when their fingerprints match.
 pub fn options_fingerprint(o: &ProfileOptions) -> u64 {
-    fnv1a64(&options_bytes(o))
+    checksum(&options_bytes(o))
 }
 
 /// Serializes the header (including its trailing checksum) for a shard
@@ -122,12 +148,12 @@ pub(crate) fn encode_header(
     let header_len = (w.len() + 8) as u32;
     let mut buf = w.into_vec();
     buf[HEADER_LEN_AT].copy_from_slice(&header_len.to_le_bytes());
-    let ck = fnv1a64(&buf);
+    let ck = checksum(&buf);
     buf.extend_from_slice(&ck.to_le_bytes());
     Ok(buf)
 }
 
-/// One section-table entry: `(id, body length, fnv1a64 checksum)`.
+/// One section-table entry: `(id, body length, checksum)`.
 pub(crate) type SectionEntry = (u32, u64, u64);
 
 /// Validates and decodes the header at the start of `file`, returning the
@@ -162,7 +188,7 @@ pub(crate) fn parse_header(
                 context: "header checksum",
             }
         })?);
-    if fnv1a64(&file[..header_len - 8]) != stored_ck {
+    if checksum(&file[..header_len - 8]) != stored_ck {
         return Err(ArtifactError::ChecksumMismatch { what: "header" });
     }
 
@@ -366,7 +392,7 @@ mod tests {
             let mut bad = buf.clone();
             bad[at + offset..at + offset + 8].copy_from_slice(&value.to_bits().to_le_bytes());
             let ck_at = bad.len() - 8;
-            let ck = fnv1a64(&bad[..ck_at]);
+            let ck = checksum(&bad[..ck_at]);
             bad[ck_at..].copy_from_slice(&ck.to_le_bytes());
             assert!(matches!(
                 parse_header(&bad),

@@ -9,20 +9,24 @@
 //! * an explicit header — magic, format version, an engine-options
 //!   fingerprint, the dataset key, the node universe and observation
 //!   window, and the shard's source range;
-//! * one checksummed ROWS section holding each source's row as it is held
-//!   in memory: the per-level delivery-function additions and the tail
+//! * a ROW_INDEX section giving each row's end offset and checksum;
+//! * a ROWS section holding each source's row as it is held in memory:
+//!   the per-level delivery-function additions and the tail
 //!   ([`omnet_core::SourceProfiles::levels`] and
 //!   [`omnet_core::SourceProfiles::tail`]);
 //! * one load path, [`map_shard`] / [`map_set`], that validates each
-//!   shard's header when the set is opened and reads, checksums and
-//!   decodes a shard's rows on the first query against it, building
+//!   shard's header when the set is opened, verifies a shard's row index
+//!   on the first access to it, and reads, verifies and decodes each row
+//!   on the first access to that row, building
 //!   [`omnet_core::SourceProfiles`] *without re-running the induction* —
 //!   corrupted, truncated or version-bumped input is rejected with a typed
-//!   [`ArtifactError`], never decoded into garbage answers.
+//!   [`ArtifactError`], never decoded into garbage answers, and a corrupt
+//!   row fails alone.
 //!
-//! A profile set is N independent shard files ([`set::write_set`] /
-//! [`map_set`]), each covering a contiguous source range, so shards
-//! load, verify, and answer queries independently.
+//! Every checksum is [`codec::checksum`]. A profile set is N independent
+//! shard files ([`set::write_set`] / [`map_set`]), each covering a
+//! contiguous source range, so shards load, verify, and answer queries
+//! independently.
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]

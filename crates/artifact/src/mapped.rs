@@ -3,25 +3,36 @@
 //! [`map_set`] opens each shard file and eagerly validates only its
 //! header (magic, version, header checksum, section extents against the
 //! file length): one small read per shard. Each shard keeps its open
-//! [`File`], and its ROWS section is read, checksummed and decoded *once,
-//! on first access*, so a server over a 100-shard set that only ever
-//! answers sources from three shards never reads — or verifies — the
-//! other ninety-seven.
+//! [`File`]. On the first access to a shard its ROW_INDEX section is read
+//! and verified (16 bytes per row), and from then on rows are read one
+//! positional read at a time: the bytes of a row range are read with
+//! `read_exact_at` (there is no shared seek cursor), and each row in it is
+//! checked against its index checksum before it is decoded into its own
+//! slot. A point query reads, verifies and decodes exactly one row; a
+//! scan ([`MappedSet::rows`]) reads each shard's pending rows with one
+//! read.
 //!
-//! Laziness never weakens the rejection guarantee: a corrupted shard is
-//! still impossible to read rows from. The verification is merely moved
-//! from load time to first-access time, and its outcome (rows or the
-//! typed [`ArtifactError`]) is cached, so every later access agrees. A
-//! file truncated after it was validated fails that first read as
-//! [`ArtifactError::Truncated`].
+//! Laziness never weakens the rejection guarantee: no byte is used before
+//! the checksum that covers it is verified. Each row's outcome (the row or
+//! its typed [`ArtifactError`]) is cached in its slot, so every later
+//! access agrees, and a corrupt row fails alone: the shard's other rows
+//! still answer. A file truncated after it was validated fails every read
+//! that reaches past its new end as [`ArtifactError::Truncated`], for
+//! each row that read covers.
 
-use crate::codec::fnv1a64;
-use crate::format::{ArtifactMeta, ShardRange, HEADER_LEN_AT, SECTION_ROWS};
-use crate::shard::decode_rows;
+use crate::codec::{checksum, word};
+use crate::format::{
+    ArtifactMeta, ShardRange, HEADER_LEN_AT, ROWS_PREFIX, ROW_INDEX_ENTRY, SECTION_ROWS,
+    SECTION_ROW_INDEX,
+};
+use crate::shard::decode_row;
 use crate::ArtifactError;
 use omnet_core::SourceProfiles;
+use omnet_temporal::LdEa;
 use std::fs::File;
-use std::io::{self, Read, Seek, SeekFrom};
+use std::io;
+use std::ops::Range;
+use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
 use std::sync::OnceLock;
 
@@ -30,8 +41,14 @@ use std::sync::OnceLock;
 /// sections) costs a second read for the rest.
 const HEADER_READ: u64 = 4096;
 
-/// One opened shard: header verified eagerly, ROWS section read, verified
-/// and decoded on the first [`MappedShard::rows`] call.
+/// A row's cached outcome. Boxed, so a shard's untouched slots cost two
+/// words each (16 B: the pointer and the `OnceLock` state); with the
+/// verified index's 16-B entry, an accessed shard holds 32 B a row.
+type Slot = OnceLock<Box<Result<SourceProfiles, ArtifactError>>>;
+
+/// One opened shard: header verified eagerly, row index read and verified
+/// on the first access, each row read, verified and decoded on its first
+/// access.
 #[derive(Debug)]
 pub struct MappedShard {
     /// The file the header was validated against, kept open so the rows
@@ -40,14 +57,41 @@ pub struct MappedShard {
     path: PathBuf,
     meta: ArtifactMeta,
     range: ShardRange,
-    /// `(offset, len)` of the ROWS body in the file, checked against the
-    /// file length at open time.
-    rows_span: (u64, usize),
-    /// Stored FNV-1a checksum the body must hash to.
-    rows_ck: u64,
-    /// First-access verification outcome; `Err` is cached too, so a
-    /// corrupt shard is rejected identically on every access.
-    rows: OnceLock<Result<Vec<SourceProfiles>, ArtifactError>>,
+    /// File offset of the ROW_INDEX body; the ROWS body follows it.
+    index_at: u64,
+    /// Stored checksums of the ROW_INDEX body and of the ROWS row count.
+    index_ck: u64,
+    prefix_ck: u64,
+    /// Length of the ROWS body, checked against the file at open time.
+    rows_len: u64,
+    /// First-access outcome of the index; `Err` is cached too, so a shard
+    /// with a corrupt index is rejected identically on every access.
+    index: OnceLock<Result<RowIndex, ArtifactError>>,
+}
+
+/// A verified ROW_INDEX and the row slots it addresses.
+#[derive(Debug)]
+struct RowIndex {
+    /// The index body: per row, its end in the ROWS body and its checksum.
+    entries: Box<[u8]>,
+    /// Row `i`'s outcome once it has been read.
+    slots: Box<[Slot]>,
+}
+
+impl RowIndex {
+    /// End offset (in the ROWS body) and checksum of row `i`.
+    fn entry(&self, i: usize) -> (u64, u64) {
+        let e = &self.entries[i * ROW_INDEX_ENTRY..(i + 1) * ROW_INDEX_ENTRY];
+        (word(&e[..8]), word(&e[8..]))
+    }
+
+    /// Where row `i` starts in the ROWS body.
+    fn start(&self, i: usize) -> u64 {
+        match i {
+            0 => ROWS_PREFIX as u64,
+            _ => self.entry(i - 1).0,
+        }
+    }
 }
 
 impl MappedShard {
@@ -61,48 +105,171 @@ impl MappedShard {
         self.range
     }
 
-    /// The decoded rows, reading the ROWS section and verifying its
-    /// checksum and every frontier on the first call. `rows()[i]` is
-    /// source `range.begin + i`.
-    pub fn rows(&self) -> Result<&[SourceProfiles], ArtifactError> {
-        let outcome = self.rows.get_or_init(|| {
-            let rows = self.read_rows();
-            if rows.is_err() {
-                crate::REJECTS.inc();
-            }
-            rows
-        });
-        match outcome {
-            Ok(rows) => Ok(rows),
-            Err(e) => Err(e.clone()),
-        }
+    /// The rows already read and verified, in source order. Never reads
+    /// anything: the cheap path for stats.
+    pub fn decoded_rows(&self) -> impl Iterator<Item = &SourceProfiles> + '_ {
+        let slots = match self.index.get() {
+            Some(Ok(index)) => &index.slots[..],
+            _ => &[],
+        };
+        slots
+            .iter()
+            .filter_map(|slot| match slot.get().map(|b| &**b) {
+                Some(Ok(row)) => Some(row),
+                _ => None,
+            })
     }
 
-    fn read_rows(&self) -> Result<Vec<SourceProfiles>, ArtifactError> {
-        let (off, len) = self.rows_span;
-        let mut body = vec![0u8; len];
-        let mut file = &self.file;
-        file.seek(SeekFrom::Start(off))
-            .and_then(|_| file.read_exact(&mut body))
-            .map_err(|e| read_error(e, "ROWS section", &self.path))?;
-        crate::BYTES_READ.add(len as u64);
-        if fnv1a64(&body) != self.rows_ck {
+    /// The verified row index, read on the first call.
+    fn index(&self) -> Result<&RowIndex, ArtifactError> {
+        let outcome = self.index.get_or_init(|| {
+            let index = self.read_index();
+            if index.is_err() {
+                crate::REJECTS.inc();
+            }
+            index
+        });
+        outcome.as_ref().map_err(ArtifactError::clone)
+    }
+
+    /// Reads the ROW_INDEX body and the ROWS row count after it with one
+    /// read, verifies both checksums, and checks that the row spans
+    /// tile the ROWS body.
+    fn read_index(&self) -> Result<RowIndex, ArtifactError> {
+        let n = (self.range.end - self.range.begin) as usize;
+        let index_len = n * ROW_INDEX_ENTRY;
+        let mut buf = vec![0u8; index_len + ROWS_PREFIX];
+        self.file
+            .read_exact_at(&mut buf, self.index_at)
+            .map_err(|e| read_error(e, "ROW_INDEX section", &self.path))?;
+        crate::BYTES_READ.add(buf.len() as u64);
+        let (entries, prefix) = buf.split_at(index_len);
+        if checksum(entries) != self.index_ck {
+            return Err(ArtifactError::ChecksumMismatch {
+                what: "ROW_INDEX section",
+            });
+        }
+        if checksum(prefix) != self.prefix_ck {
             return Err(ArtifactError::ChecksumMismatch {
                 what: "ROWS section",
             });
         }
-        decode_rows(&body, &self.meta, &self.range)
+        if word(prefix) != n as u64 {
+            return Err(ArtifactError::Corrupt {
+                context: "row count does not match shard range",
+            });
+        }
+        buf.truncate(index_len);
+        let index = RowIndex {
+            entries: buf.into_boxed_slice(),
+            slots: (0..n).map(|_| OnceLock::new()).collect(),
+        };
+        let mut end = ROWS_PREFIX as u64;
+        for i in 0..n {
+            let next = index.entry(i).0;
+            if next <= end {
+                return Err(ArtifactError::Corrupt {
+                    context: "row index offsets do not increase",
+                });
+            }
+            end = next;
+        }
+        if end != self.rows_len {
+            return Err(ArtifactError::Corrupt {
+                context: "row index does not end at the ROWS section end",
+            });
+        }
+        Ok(index)
     }
 
-    /// The rows if this shard has already been verified successfully;
-    /// `None` when verification has not run yet (or failed). Never
-    /// triggers verification — the cheap path for stats.
-    pub fn materialized_rows(&self) -> Option<&[SourceProfiles]> {
-        match self.rows.get() {
-            Some(Ok(rows)) => Some(rows),
-            _ => None,
+    /// Row `i` of the shard, read, verified and decoded on its first
+    /// access.
+    fn row_at(&self, i: usize) -> Result<&SourceProfiles, ArtifactError> {
+        let index = self.index()?;
+        self.prefetch(i..i + 1);
+        match index.slots[i].get().map(|b| &**b) {
+            Some(Ok(row)) => Ok(row),
+            Some(Err(e)) => Err(e.clone()),
+            // `prefetch` fills (or waits for) every empty slot it covers.
+            None => Err(ArtifactError::Corrupt {
+                context: "row slot left empty",
+            }),
         }
     }
+
+    /// Fills the slots of `rows` that are still empty: the bytes from the
+    /// first to the last of them are read once, then each row is verified
+    /// and decoded. A failed read is every pending row's error. An index
+    /// that fails is left for [`MappedShard::row_at`] to report. The one
+    /// path that fills slots.
+    fn prefetch(&self, rows: Range<usize>) {
+        let Ok(index) = self.index() else { return };
+        let pending = |i: &usize| index.slots[*i].get().is_none();
+        let Some(lo) = rows.clone().find(pending) else {
+            return;
+        };
+        let hi = rows.rev().find(pending).unwrap_or(lo) + 1;
+        match self.read_span(index, lo..hi) {
+            Ok((base, span)) => {
+                let mut pairs = Vec::new();
+                for i in lo..hi {
+                    index.slots[i]
+                        .get_or_init(|| settle(self.decode_at(index, &span, base, i, &mut pairs)));
+                }
+            }
+            Err(e) => {
+                for slot in &index.slots[lo..hi] {
+                    slot.get_or_init(|| settle(Err(e.clone())));
+                }
+            }
+        }
+    }
+
+    /// The ROWS bytes of `rows`, read with one positional read, and the
+    /// ROWS-body offset they start at.
+    fn read_span(
+        &self,
+        index: &RowIndex,
+        rows: Range<usize>,
+    ) -> Result<(u64, Vec<u8>), ArtifactError> {
+        let base = index.start(rows.start);
+        let end = index.entry(rows.end - 1).0;
+        let mut span = vec![0u8; (end - base) as usize];
+        let rows_at = self.index_at + index.entries.len() as u64;
+        self.file
+            .read_exact_at(&mut span, rows_at + base)
+            .map_err(|e| read_error(e, "ROWS section", &self.path))?;
+        crate::BYTES_READ.add(span.len() as u64);
+        Ok((base, span))
+    }
+
+    /// Verifies row `i` against its index checksum and decodes it; `span`
+    /// holds ROWS bytes from offset `base` and covers the row.
+    fn decode_at(
+        &self,
+        index: &RowIndex,
+        span: &[u8],
+        base: u64,
+        i: usize,
+        pairs: &mut Vec<LdEa>,
+    ) -> Result<SourceProfiles, ArtifactError> {
+        let (end, ck) = index.entry(i);
+        let bytes = &span[(index.start(i) - base) as usize..(end - base) as usize];
+        if checksum(bytes) != ck {
+            return Err(ArtifactError::ChecksumMismatch { what: "row" });
+        }
+        decode_row(bytes, &self.meta, self.range.begin + i as u32, pairs)
+    }
+}
+
+/// Boxes a row outcome for its slot, counting a rejection.
+fn settle(
+    row: Result<SourceProfiles, ArtifactError>,
+) -> Box<Result<SourceProfiles, ArtifactError>> {
+    if row.is_err() {
+        crate::REJECTS.inc();
+    }
+    Box::new(row)
 }
 
 /// A short read means the file ends before what its header promised.
@@ -119,7 +286,7 @@ fn read_error(e: io::Error, what: &'static str, path: &Path) -> ArtifactError {
 }
 
 /// Opens one shard file and validates its header and section extents;
-/// ROWS content verification is deferred to [`MappedShard::rows`].
+/// the row index is read on the first row access.
 pub fn map_shard(path: &Path) -> Result<MappedShard, ArtifactError> {
     match map_shard_inner(path) {
         Ok(s) => {
@@ -139,12 +306,13 @@ fn map_shard_inner(path: &Path) -> Result<MappedShard, ArtifactError> {
         path: PathBuf::from(path),
         source,
     };
-    let mut file = File::open(path).map_err(io_error)?;
+    let file = File::open(path).map_err(io_error)?;
     let file_len = file.metadata().map_err(io_error)?.len();
-    let head = read_header_bytes(&mut file, file_len, path)?;
+    let head = read_header_bytes(&file, file_len, path)?;
     let (meta, range, sections, header_len) = crate::format::parse_header(&head)?;
     let mut offset = header_len as u64;
-    let mut rows_span: Option<((u64, usize), u64)> = None;
+    let mut index = None;
+    let mut rows = None;
     for (id, len, ck) in sections {
         // `checked_add`: a corrupt header can claim a length near
         // `u64::MAX`, and a wrapped sum would pass the bounds check.
@@ -154,26 +322,46 @@ fn map_shard_inner(path: &Path) -> Result<MappedShard, ArtifactError> {
             .ok_or(ArtifactError::Truncated {
                 context: "section body",
             })?;
-        if id == SECTION_ROWS {
-            let len = usize::try_from(len).map_err(|_| ArtifactError::Truncated {
-                context: "section body",
-            })?;
-            rows_span = Some(((offset, len), ck));
+        match id {
+            SECTION_ROW_INDEX => index = Some((offset, len, ck)),
+            SECTION_ROWS => rows = Some((offset, len, ck)),
+            // Unknown sections are additive extensions: skip, don't reject.
+            _ => {}
         }
-        // Unknown sections are additive extensions: skip, don't reject.
         offset = end;
     }
-    let (span, rows_ck) = rows_span.ok_or(ArtifactError::Corrupt {
+    let (index_at, index_len, index_ck) = index.ok_or(ArtifactError::Corrupt {
+        context: "no ROW_INDEX section",
+    })?;
+    let (rows_at, rows_len, prefix_ck) = rows.ok_or(ArtifactError::Corrupt {
         context: "no ROWS section",
     })?;
+    if rows_at != index_at + index_len {
+        return Err(ArtifactError::Corrupt {
+            context: "ROW_INDEX does not directly precede ROWS",
+        });
+    }
+    let n = u64::from(range.end - range.begin);
+    if index_len != n * ROW_INDEX_ENTRY as u64 {
+        return Err(ArtifactError::Corrupt {
+            context: "row index length does not match shard range",
+        });
+    }
+    if rows_len < ROWS_PREFIX as u64 {
+        return Err(ArtifactError::Truncated {
+            context: "ROWS row count",
+        });
+    }
     Ok(MappedShard {
         file,
         path: PathBuf::from(path),
         meta,
         range,
-        rows_span: span,
-        rows_ck,
-        rows: OnceLock::new(),
+        index_at,
+        index_ck,
+        prefix_ck,
+        rows_len,
+        index: OnceLock::new(),
     })
 }
 
@@ -181,13 +369,9 @@ fn map_shard_inner(path: &Path) -> Result<MappedShard, ArtifactError> {
 /// if shorter), plus the rest of a longer header the file has room for.
 /// A header claiming more than the file holds stays short, so
 /// [`parse_header`](crate::format::parse_header) reports it truncated.
-fn read_header_bytes(
-    file: &mut File,
-    file_len: u64,
-    path: &Path,
-) -> Result<Vec<u8>, ArtifactError> {
+fn read_header_bytes(file: &File, file_len: u64, path: &Path) -> Result<Vec<u8>, ArtifactError> {
     let mut head = vec![0u8; file_len.min(HEADER_READ) as usize];
-    file.read_exact(&mut head)
+    file.read_exact_at(&mut head, 0)
         .map_err(|e| read_error(e, "header", path))?;
     let claimed = head
         .get(HEADER_LEN_AT)
@@ -196,7 +380,7 @@ fn read_header_bytes(
     if claimed > head.len() as u64 && claimed <= file_len {
         let read = head.len();
         head.resize(claimed as usize, 0);
-        file.read_exact(&mut head[read..])
+        file.read_exact_at(&mut head[read..], read as u64)
             .map_err(|e| read_error(e, "header", path))?;
     }
     Ok(head)
@@ -215,17 +399,40 @@ pub struct MappedSet {
 
 impl MappedSet {
     /// The profile row for `source`: `Ok(None)` when no shard in the set
-    /// covers it, `Err` when the covering shard fails its (first)
-    /// verification.
+    /// covers it, `Err` when its shard's index or the row itself fails
+    /// verification. Reads, verifies and decodes this one row (and, on
+    /// the shard's first access, its row index).
     pub fn row(&self, source: u32) -> Result<Option<&SourceProfiles>, ArtifactError> {
-        let si = self.shards.partition_point(|s| s.range.end <= source);
-        let Some(s) = self.shards.get(si) else {
-            return Ok(None);
-        };
-        if source < s.range.begin {
-            return Ok(None);
+        match self.shard_of(source) {
+            Some(s) => s.row_at((source - s.range.begin) as usize).map(Some),
+            None => Ok(None),
         }
-        Ok(s.rows()?.get((source - s.range.begin) as usize))
+    }
+
+    /// The rows of `sources` in order, each as [`MappedSet::row`] would
+    /// answer it; but the rows of each shard that the range covers are
+    /// read with one read when the scan enters that shard.
+    pub fn rows(
+        &self,
+        sources: Range<u32>,
+    ) -> impl Iterator<Item = Result<Option<&SourceProfiles>, ArtifactError>> + '_ {
+        let Range { start, end } = sources;
+        (start..end).map(move |source| {
+            let Some(s) = self.shard_of(source) else {
+                return Ok(None);
+            };
+            let (begin, i) = (s.range.begin, source - s.range.begin);
+            if source == start.max(begin) {
+                s.prefetch(i as usize..(end.min(s.range.end) - begin) as usize);
+            }
+            s.row_at(i as usize).map(Some)
+        })
+    }
+
+    /// The shard covering `source`, if any.
+    fn shard_of(&self, source: u32) -> Option<&MappedShard> {
+        let si = self.shards.partition_point(|s| s.range.end <= source);
+        self.shards.get(si).filter(|s| s.range.begin <= source)
     }
 
     /// Total rows covered by the set's shards (from the headers — never
@@ -344,13 +551,12 @@ mod tests {
         assert_eq!(set.meta, meta);
         assert_eq!(set.num_rows(), 6);
         for path in &paths {
-            let shard = map_shard(path).unwrap();
-            let range = shard.range();
-            let rows = shard.rows().unwrap();
+            let range = map_shard(path).unwrap().range();
+            let rows: Vec<_> = set.rows(range.begin..range.end).collect();
             let expected = &computed[range.begin as usize..range.end as usize];
             assert_eq!(rows.len(), expected.len());
-            for (got, want) in rows.iter().zip(expected) {
-                assert_eq!(got, want);
+            for (got, want) in rows.into_iter().zip(expected) {
+                assert_eq!(got.unwrap(), Some(want));
             }
         }
         for s in 0..6u32 {
@@ -361,39 +567,45 @@ mod tests {
 
     #[test]
     fn verification_is_lazy_and_cached() {
-        let (dir, ..) = toy_set("lazy", 2);
+        let (dir, _, _, computed) = toy_set("lazy", 2);
         let set = map_set(&dir).unwrap();
-        for s in set.shards() {
-            assert!(s.materialized_rows().is_none(), "rows decoded eagerly");
-        }
-        // Touch one source: only its shard materializes.
-        assert!(set.row(0).unwrap().is_some());
-        let done: usize = set
-            .shards()
-            .iter()
-            .filter(|s| s.materialized_rows().is_some())
-            .count();
-        assert_eq!(done, 1);
+        let decoded = |set: &MappedSet| -> usize {
+            set.shards().iter().map(|s| s.decoded_rows().count()).sum()
+        };
+        assert_eq!(decoded(&set), 0, "rows decoded eagerly");
+        // Touch one source: only its row is decoded.
+        assert_eq!(set.row(1).unwrap(), Some(&computed[1]));
+        assert_eq!(decoded(&set), 1);
+        // A scan reads the rest, in order, and keeps the decoded row.
+        let all: Vec<_> = set.rows(0..6).map(|r| r.unwrap().unwrap()).collect();
+        assert_eq!(all, computed.iter().collect::<Vec<_>>());
+        assert_eq!(decoded(&set), 6);
         std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
-    fn body_corruption_rejected_at_first_access_every_time() {
-        let (dir, paths, ..) = toy_set("corrupt", 1);
-        let good = std::fs::read(&paths[0]).unwrap();
-        let mut bad = good.clone();
+    fn row_corruption_rejects_that_row_every_time() {
+        let (dir, paths, _, computed) = toy_set("corrupt", 1);
+        let mut bad = std::fs::read(&paths[0]).unwrap();
+        // The flip lands in the last row, source 5.
         let i = bad.len() - 16;
         bad[i] ^= 0x01;
         std::fs::write(&paths[0], &bad).unwrap();
         // Header parses (the flip is in the body), so the map succeeds...
-        let shard = map_shard(&paths[0]).unwrap();
-        // ...and the rows are rejected on first access and every access
-        // after (the outcome is cached).
+        let set = map_set(&dir).unwrap();
+        // ...the row is rejected on first access and every access after
+        // (the outcome is cached), and so is a scan over it...
         for _ in 0..2 {
             assert!(matches!(
-                shard.rows(),
-                Err(ArtifactError::ChecksumMismatch { .. })
+                set.row(5),
+                Err(ArtifactError::ChecksumMismatch { what: "row" })
             ));
+        }
+        let failed: Vec<bool> = set.rows(0..6).map(|r| r.is_err()).collect();
+        assert_eq!(failed, [false, false, false, false, false, true]);
+        // ...while the other rows still answer.
+        for s in 0..5u32 {
+            assert_eq!(set.row(s).unwrap(), Some(&computed[s as usize]));
         }
         std::fs::remove_dir_all(&dir).ok();
     }

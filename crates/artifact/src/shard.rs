@@ -1,7 +1,9 @@
-//! Writing one shard file, and the ROWS section codec.
+//! Writing one shard file, and the row codec of the ROWS section.
 
-use crate::codec::{fnv1a64, Reader, Writer};
-use crate::format::{encode_header, ArtifactMeta, ShardRange, SECTION_ROWS};
+use crate::codec::{checksum, Reader, Writer};
+use crate::format::{
+    encode_header, ArtifactMeta, ShardRange, ROWS_PREFIX, SECTION_ROWS, SECTION_ROW_INDEX,
+};
 use crate::{ArtifactError, BYTES_WRITTEN, WRITES};
 use omnet_core::{LevelRuns, SourceProfiles};
 use omnet_temporal::{LdEa, NodeId, Time};
@@ -48,10 +50,12 @@ fn decode_run(r: &mut Reader<'_>, pairs: &mut Vec<LdEa>) -> Result<LevelRuns, Ar
     Ok(run)
 }
 
-/// Serializes the ROWS section body for `rows`.
-fn encode_rows(rows: &[SourceProfiles]) -> Vec<u8> {
+/// Serializes the ROWS section body for `rows` and its ROW_INDEX body:
+/// each row's end offset in the ROWS body and the checksum of its bytes.
+fn encode_rows(rows: &[SourceProfiles]) -> (Vec<u8>, Vec<u8>) {
     let mut w = Writer::new();
     w.u32(rows.len() as u32);
+    let mut ends = Vec::with_capacity(rows.len());
     for row in rows {
         w.u32(row.source().0);
         w.u32(row.converged_at().min(u32::MAX as usize) as u32);
@@ -61,68 +65,67 @@ fn encode_rows(rows: &[SourceProfiles]) -> Vec<u8> {
             encode_run(&mut w, level);
         }
         encode_run(&mut w, row.tail());
+        ends.push(w.len());
     }
-    w.into_vec()
+    let body = w.into_vec();
+    let mut index = Writer::new();
+    let mut start = ROWS_PREFIX;
+    for end in ends {
+        index.u64(end as u64);
+        index.u64(checksum(&body[start..end]));
+        start = end;
+    }
+    (body, index.into_vec())
 }
 
-/// Decodes and validates the ROWS section body, building each row through
-/// [`SourceProfiles::from_parts`] (which re-checks every frontier).
-/// Called by [`crate::mapped`] on a shard's first row access.
-pub(crate) fn decode_rows(
-    body: &[u8],
+/// Decodes and validates one row of the ROWS section, the bytes its index
+/// entry covers, building it through [`SourceProfiles::from_parts`]
+/// (which re-checks every frontier). Called by [`crate::mapped`] once the
+/// row's checksum has been verified.
+pub(crate) fn decode_row(
+    bytes: &[u8],
     meta: &ArtifactMeta,
-    range: &ShardRange,
-) -> Result<Vec<SourceProfiles>, ArtifactError> {
-    let mut r = Reader::new(body);
-    let count = r.u32("row count")?;
-    if count != range.end - range.begin {
+    source: u32,
+    pairs: &mut Vec<LdEa>,
+) -> Result<SourceProfiles, ArtifactError> {
+    let mut r = Reader::new(bytes);
+    if r.u32("row source")? != source {
         return Err(ArtifactError::Corrupt {
-            context: "row count does not match shard range",
+            context: "row sources out of order",
         });
     }
-    let mut rows = Vec::with_capacity(count as usize);
-    let mut pairs = Vec::new();
-    for i in 0..count {
-        let source = r.u32("row source")?;
-        if source != range.begin + i {
+    let converged_at = r.u32("row converged_at")?;
+    let converged = match r.u8("row converged flag")? {
+        0 => false,
+        1 => true,
+        _ => {
             return Err(ArtifactError::Corrupt {
-                context: "row sources out of order",
-            });
+                context: "converged flag is not 0 or 1",
+            })
         }
-        let converged_at = r.u32("row converged_at")?;
-        let converged = match r.u8("row converged flag")? {
-            0 => false,
-            1 => true,
-            _ => {
-                return Err(ArtifactError::Corrupt {
-                    context: "converged flag is not 0 or 1",
-                })
-            }
-        };
-        let level_count = r.u32("row level count")? as usize;
-        if level_count.saturating_mul(4) > r.remaining() {
-            return Err(ArtifactError::Truncated { context: "levels" });
-        }
-        let mut levels = Vec::with_capacity(level_count);
-        for _ in 0..level_count {
-            levels.push(decode_run(&mut r, &mut pairs)?);
-        }
-        let tail = decode_run(&mut r, &mut pairs)?;
-        rows.push(SourceProfiles::from_parts(
-            NodeId(source),
-            meta.num_nodes,
-            converged_at,
-            converged,
-            levels,
-            tail,
-        )?);
+    };
+    let level_count = r.u32("row level count")? as usize;
+    if level_count.saturating_mul(4) > r.remaining() {
+        return Err(ArtifactError::Truncated { context: "levels" });
     }
+    let mut levels = Vec::with_capacity(level_count);
+    for _ in 0..level_count {
+        levels.push(decode_run(&mut r, pairs)?);
+    }
+    let tail = decode_run(&mut r, pairs)?;
     if r.remaining() != 0 {
         return Err(ArtifactError::Corrupt {
-            context: "trailing bytes after last row",
+            context: "trailing bytes after a row",
         });
     }
-    Ok(rows)
+    Ok(SourceProfiles::from_parts(
+        NodeId(source),
+        meta.num_nodes,
+        converged_at,
+        converged,
+        levels,
+        tail,
+    )?)
 }
 
 /// Writes one shard file covering `range` with the given `rows`; returns
@@ -146,9 +149,18 @@ pub fn write_shard(
             });
         }
     }
-    let body = encode_rows(rows);
-    let sections = [(SECTION_ROWS, body.len() as u64, fnv1a64(&body))];
+    let (body, index) = encode_rows(rows);
+    let sections = [
+        (SECTION_ROW_INDEX, index.len() as u64, checksum(&index)),
+        (
+            SECTION_ROWS,
+            body.len() as u64,
+            checksum(&body[..ROWS_PREFIX]),
+        ),
+    ];
     let mut file = encode_header(meta, &range, &sections)?;
+    file.reserve(index.len() + body.len());
+    file.extend_from_slice(&index);
     file.extend_from_slice(&body);
     let total = file.len() as u64;
     std::fs::write(path, &file).map_err(|source| ArtifactError::Io {
@@ -164,7 +176,7 @@ pub fn write_shard(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::map_shard;
+    use crate::{map_set, map_shard};
     use omnet_core::{AllPairsProfiles, HopBound, ProfileOptions};
     use omnet_temporal::TraceBuilder;
 
@@ -202,7 +214,9 @@ mod tests {
         let loaded = map_shard(&path).unwrap();
         assert_eq!(loaded.meta(), &meta);
         assert_eq!(loaded.range(), range);
-        for (orig, back) in rows.iter().zip(loaded.rows().unwrap()) {
+        let set = map_set(&dir).unwrap();
+        for (orig, back) in rows.iter().zip(set.rows(0..4)) {
+            let back = back.unwrap().unwrap();
             for d in 0..4u32 {
                 for k in 0..=5usize {
                     assert_eq!(
@@ -261,11 +275,11 @@ mod tests {
         let mut file = std::fs::read(&path).unwrap();
         let header_len =
             u32::from_le_bytes(file[crate::format::HEADER_LEN_AT].try_into().unwrap()) as usize;
-        // Single-section table: trailing ck (8) + one entry (20); the len
-        // field sits 4 bytes into the entry.
+        // The ROWS entry (20 bytes) ends the table, before the trailing
+        // ck (8); the len field sits 4 bytes into the entry.
         let len_at = header_len - 8 - 20 + 4;
         file[len_at..len_at + 8].copy_from_slice(&(u64::MAX - 7).to_le_bytes());
-        let ck = fnv1a64(&file[..header_len - 8]);
+        let ck = checksum(&file[..header_len - 8]);
         file[header_len - 8..header_len].copy_from_slice(&ck.to_le_bytes());
         std::fs::write(&path, &file).unwrap();
         assert!(matches!(

@@ -3,7 +3,8 @@
 //! an intentional format change, bump `FORMAT_VERSION` and regenerate the
 //! fixture with `OMNA_REGEN_GOLDEN=1 cargo test -p omnet-artifact --test
 //! golden`, keeping the previous version's shards under
-//! `tests/fixtures/v{N}/` so their refusal stays tested.
+//! `tests/fixtures/v{N}/` so their refusal stays tested. The v2 shards also
+//! pin that version 3 moved no row byte: their ROWS bodies equal v3's.
 
 use omnet_artifact::{map_set, write_set, ArtifactError, ArtifactMeta, FORMAT_VERSION};
 use omnet_core::{AllPairsProfiles, HopBound, ProfileOptions};
@@ -101,24 +102,57 @@ fn golden_fixture_bytes_are_current() {
     std::fs::remove_dir_all(&fresh_dir).ok();
 }
 
-/// Version-1 shards (which still carried the arc-pruning and level-storage
-/// option bytes) are refused with the typed version error — never decoded,
-/// never reported as corrupt.
+/// Asserts that `dir`'s shards are refused with the typed version error
+/// for version `found` — never decoded, never reported as corrupt.
+fn assert_refused(dir: &Path, found: u32) {
+    assert_eq!(FORMAT_VERSION, 3);
+    let e = map_set(dir).expect_err("old set mapped");
+    assert!(
+        matches!(
+            e,
+            ArtifactError::UnsupportedVersion { found: f, supported: 3 } if f == found
+        ),
+        "v{found} shard not refused by version: {e}"
+    );
+}
+
+/// Version-1 shards still carried the arc-pruning and level-storage
+/// option bytes.
 #[test]
 fn v1_fixture_is_refused_with_a_typed_version_error() {
-    let dir = fixture_dir().join("v1");
-    let expect = |e: ArtifactError| {
-        assert!(
-            matches!(
-                e,
-                ArtifactError::UnsupportedVersion {
-                    found: 1,
-                    supported: 2
-                }
-            ),
-            "v1 shard not refused by version: {e}"
-        );
-    };
-    assert_eq!(FORMAT_VERSION, 2);
-    expect(map_set(&dir).expect_err("v1 set mapped"));
+    assert_refused(&fixture_dir().join("v1"), 1);
+}
+
+/// Version-2 shards had no row index and one checksum over the whole
+/// ROWS body.
+#[test]
+fn v2_fixture_is_refused_with_a_typed_version_error() {
+    assert_refused(&fixture_dir().join("v2"), 2);
+}
+
+/// The little-endian `u64` at `at`.
+fn u64_at(file: &[u8], at: usize) -> u64 {
+    u64::from_le_bytes(file[at..at + 8].try_into().expect("8 bytes"))
+}
+
+/// Version 3 added a header field and a section but moved no row byte:
+/// each v3 golden shard's ROWS body equals the v2 fixture's (which is
+/// everything after the v2 header).
+#[test]
+fn v3_rows_bodies_equal_the_v2_fixture() {
+    for name in ["golden.0000-of-0002.omna", "golden.0001-of-0002.omna"] {
+        let v2 = std::fs::read(fixture_dir().join("v2").join(name)).expect("v2 fixture");
+        let v3 = std::fs::read(fixture_dir().join(name)).expect("v3 fixture");
+        let header_len =
+            |file: &[u8]| u32::from_le_bytes(file[12..16].try_into().expect("4 bytes")) as usize;
+        let v2_rows = &v2[header_len(&v2)..];
+        // v3's table ends with the ROW_INDEX and ROWS entries, each
+        // (id u32, len u64, checksum u64), then the header checksum.
+        let h = header_len(&v3);
+        let index_len = u64_at(&v3, h - 44) as usize;
+        let rows_len = u64_at(&v3, h - 24) as usize;
+        let v3_rows = &v3[h + index_len..];
+        assert_eq!(v3_rows.len(), rows_len, "{name}: ROWS is the last section");
+        assert_eq!(v3_rows, v2_rows, "{name}: ROWS body moved");
+    }
 }

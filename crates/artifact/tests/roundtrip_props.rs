@@ -2,11 +2,11 @@
 //! depths, and shard splits, write→load is
 //! semantically lossless — the reconstructed rows answer every
 //! `(dest, bound)` profile query identically to the in-memory engine —
-//! random corruption is always rejected, never mis-decoded, and hostile
-//! bytes get a typed rejection, never a panic.
+//! random corruption is always rejected, never mis-decoded, hostile bytes
+//! get a typed rejection, never a panic, and a corrupt row fails alone.
 
-use omnet_artifact::codec::fnv1a64;
-use omnet_artifact::{map_set, map_shard, write_set, ArtifactError, ArtifactMeta};
+use omnet_artifact::codec::checksum;
+use omnet_artifact::{map_set, write_set, ArtifactError, ArtifactMeta, MappedSet};
 use omnet_core::{AllPairsProfiles, HopBound, ProfileOptions, SourceProfiles};
 use omnet_temporal::{NodeId, Trace, TraceBuilder};
 use proptest::prelude::*;
@@ -117,7 +117,9 @@ proptest! {
         let idx = byte_seed % bad.len();
         bad[idx] ^= 1 << bit;
         std::fs::write(&paths[0], &bad).expect("rewrite");
-        match map_shard(&paths[0]).and_then(|s| s.rows().map(<[_]>::to_vec)) {
+        let loaded = map_set(&dir)
+            .and_then(|set| scan(&set).map(|rows| rows.into_iter().cloned().collect::<Vec<_>>()));
+        match loaded {
             // A flipped bit must surface as a typed rejection...
             Err(
                 ArtifactError::BadMagic { .. }
@@ -152,15 +154,15 @@ proptest! {
         std::fs::create_dir_all(&dir).expect("mkdir");
         let path = dir.join("hostile.omna");
         std::fs::write(&path, &bytes).expect("write");
-        let verdict = map_shard(&path).and_then(|s| s.rows().map(<[_]>::len));
+        let verdict = map_set(&dir).and_then(|set| scan(&set).map(|rows| rows.len()));
         prop_assert!(verdict.is_err(), "random bytes decoded: {verdict:?}");
         std::fs::remove_dir_all(&dir).ok();
     }
 
-    /// Hostile bytes spliced into a valid shard's ROWS body, with the
-    /// section checksum resealed so they get past the integrity check
-    /// into the row decoder: the verdict is rows or a typed error, never
-    /// a panic.
+    /// Hostile bytes spliced into a valid shard's ROWS body, with every
+    /// row checksum, the index and the header resealed so they get past
+    /// the integrity checks into the row decoder: the verdict is rows or
+    /// a typed error, never a panic.
     #[test]
     fn resealed_hostile_rows_never_panic(
         trace in trace_strategy(),
@@ -169,8 +171,7 @@ proptest! {
     ) {
         let (_, dir, paths) = single_shard(&trace, "host");
         let file = std::fs::read(&paths[0]).expect("read back");
-        let header_len = u32::from_le_bytes(file[12..16].try_into().expect("4 bytes")) as usize;
-        let mut body = file[header_len..].to_vec();
+        let (header, mut index, mut body) = split_shard(&file);
         for (at, byte) in edits {
             let at = at % body.len();
             body[at] = byte;
@@ -178,24 +179,156 @@ proptest! {
         if let Some(cut) = cut {
             body.truncate(cut % (body.len() + 1));
         }
-        // Reseal: the single section-table entry ends 8 bytes before the
-        // header checksum, as (id u32, len u64, checksum u64).
-        let mut hostile = file[..header_len].to_vec();
-        hostile[header_len - 24..header_len - 16].copy_from_slice(&(body.len() as u64).to_le_bytes());
-        hostile[header_len - 16..header_len - 8].copy_from_slice(&fnv1a64(&body).to_le_bytes());
-        let header_ck = fnv1a64(&hostile[..header_len - 8]);
-        hostile[header_len - 8..].copy_from_slice(&header_ck.to_le_bytes());
-        hostile.extend_from_slice(&body);
-        std::fs::write(&paths[0], &hostile).expect("rewrite");
-        let shard = map_shard(&paths[0]).expect("resealed header opens");
-        match shard.rows() {
-            Ok(rows) => prop_assert_eq!(rows.len() as u32, trace.num_nodes()),
+        reseal_rows(&mut index, &body);
+        std::fs::write(&paths[0], reseal(&header, &index, &body)).expect("rewrite");
+        // The resealed header and section table hold, so the shard opens
+        // unless the cut left no ROWS row count.
+        if body.len() < 4 {
+            prop_assert!(matches!(
+                map_set(&dir),
+                Err(ArtifactError::Truncated { context: "ROWS row count" })
+            ));
+            std::fs::remove_dir_all(&dir).ok();
+            return Ok(());
+        }
+        let set = map_set(&dir).expect("resealed header opens");
+        match scan(&set).map(|rows| rows.len()) {
+            Ok(n) => prop_assert_eq!(n as u32, trace.num_nodes()),
             Err(
                 ArtifactError::Truncated { .. }
                 | ArtifactError::Corrupt { .. }
                 | ArtifactError::InvalidProfile(_),
             ) => {}
             Err(other) => prop_assert!(false, "unexpected rejection shape: {other}"),
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A resealed ROW_INDEX whose offsets run past the ROWS section, go
+    /// backwards or repeat (overlapping rows), or whose row count
+    /// disagrees with the shard range, is refused with a typed error at
+    /// `map_set` or on the row read, never a panic; so is one with random
+    /// entry edits whose row checksums still hold.
+    #[test]
+    fn resealed_hostile_row_index_never_panics(
+        trace in trace_strategy(),
+        kind in 0u8..6,
+        pick in 0usize..1_000,
+        edits in prop::collection::vec((0usize..10_000, any_byte()), 1..6),
+    ) {
+        let (_, dir, paths) = single_shard(&trace, "idx");
+        let file = std::fs::read(&paths[0]).expect("read back");
+        let (header, mut index, mut body) = split_shard(&file);
+        let n = index.len() / 16;
+        let i = pick % n;
+        let end_of = |index: &[u8], i: usize| {
+            u64::from_le_bytes(index[16 * i..16 * i + 8].try_into().expect("8 bytes"))
+        };
+        let set_end = |index: &mut Vec<u8>, i: usize, end: u64| {
+            index[16 * i..16 * i + 8].copy_from_slice(&end.to_le_bytes());
+        };
+        let must_fail = match kind {
+            // An offset past the section.
+            0 => {
+                set_end(&mut index, i, body.len() as u64 + 1 + pick as u64);
+                true
+            }
+            // Non-monotone: a row ending before its predecessor does.
+            1 if n > 1 => {
+                let j = 1 + pick % (n - 1);
+                let before = end_of(&index, j - 1);
+                set_end(&mut index, j, before - 1 - (pick as u64 % 4).min(before - 1));
+                true
+            }
+            // Overlap: a row ending where its predecessor does.
+            2 if n > 1 => {
+                let j = 1 + pick % (n - 1);
+                let before = end_of(&index, j - 1);
+                set_end(&mut index, j, before);
+                true
+            }
+            // One entry too many or too few for the shard range.
+            3 => {
+                if pick % 2 == 0 {
+                    index.extend_from_within(index.len() - 16..);
+                } else {
+                    index.truncate(index.len() - 16);
+                }
+                true
+            }
+            // The ROWS row count disagrees with the range and the index.
+            4 => {
+                let count = u32::from_le_bytes(body[..4].try_into().expect("4 bytes"));
+                body[..4].copy_from_slice(&(count + 1 + pick as u32).to_le_bytes());
+                true
+            }
+            _ => {
+                for (at, byte) in edits {
+                    let at = at % index.len();
+                    index[at] = byte;
+                }
+                false
+            }
+        };
+        reseal_rows(&mut index, &body);
+        std::fs::write(&paths[0], reseal(&header, &index, &body)).expect("rewrite");
+        let verdict = map_set(&dir).and_then(|set| {
+            (0..trace.num_nodes())
+                .map(|s| set.row(s).map(|row| row.is_some()))
+                .collect::<Result<Vec<bool>, _>>()
+        });
+        match verdict {
+            Ok(covered) => {
+                prop_assert!(!must_fail, "hostile index of kind {kind} accepted");
+                prop_assert!(covered.into_iter().all(|c| c));
+            }
+            Err(
+                ArtifactError::Truncated { .. }
+                | ArtifactError::ChecksumMismatch { .. }
+                | ArtifactError::Corrupt { .. }
+                | ArtifactError::InvalidProfile(_),
+            ) => {}
+            Err(other) => prop_assert!(false, "unexpected rejection shape: {other}"),
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// One flipped byte inside row r of a multi-row shard fails row r with
+    /// `ChecksumMismatch`; every other row of the shard still equals the
+    /// computed row, read one at a time and by a scan.
+    #[test]
+    fn a_corrupt_row_fails_alone(
+        trace in trace_strategy(),
+        pick in 0usize..1_000,
+        at in 0usize..10_000,
+        bit in 0u8..8,
+    ) {
+        let (all, dir, paths) = single_shard(&trace, "row");
+        let mut file = std::fs::read(&paths[0]).expect("read back");
+        let (header, index, _) = split_shard(&file);
+        let n = index.len() / 16;
+        let r = pick % n;
+        let end_of = |i: usize| {
+            u64::from_le_bytes(index[16 * i..16 * i + 8].try_into().expect("8 bytes")) as usize
+        };
+        let start = if r == 0 { 4 } else { end_of(r - 1) };
+        let rows_at = header.len() + index.len();
+        file[rows_at + start + at % (end_of(r) - start)] ^= 1 << bit;
+        std::fs::write(&paths[0], &file).expect("rewrite");
+        let one = map_set(&dir).expect("the header and index are intact");
+        let scan = map_set(&dir).expect("the header and index are intact");
+        let scanned: Vec<_> = scan.rows(0..n as u32).collect();
+        for s in 0..n as u32 {
+            for got in [one.row(s), scanned[s as usize].clone()] {
+                if s as usize == r {
+                    prop_assert!(
+                        matches!(got, Err(ArtifactError::ChecksumMismatch { what: "row" })),
+                        "row {r}: {got:?}"
+                    );
+                } else {
+                    prop_assert!(matches!(got, Ok(Some(row)) if *row == all.rows()[s as usize]));
+                }
+            }
         }
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -216,11 +349,11 @@ proptest! {
         for (at, byte) in edits {
             file[at % (header_len - 8)] = byte;
         }
-        let header_ck = fnv1a64(&file[..header_len - 8]);
+        let header_ck = checksum(&file[..header_len - 8]);
         file[header_len - 8..header_len].copy_from_slice(&header_ck.to_le_bytes());
         std::fs::write(&paths[0], &file).expect("rewrite");
-        match map_shard(&paths[0]) {
-            Ok(shard) => match shard.rows() {
+        match map_set(&dir) {
+            Ok(set) => match scan(&set) {
                 Ok(_)
                 | Err(
                     ArtifactError::Truncated { .. }
@@ -241,6 +374,159 @@ proptest! {
         }
         std::fs::remove_dir_all(&dir).ok();
     }
+}
+
+/// Two threads reading interleaved rows of one shard through
+/// `MappedSet::row`, in lock step from the shard's first access on (a
+/// barrier before every read), see exactly what a serial read sees.
+#[test]
+fn concurrent_row_reads_equal_a_serial_read() {
+    // 40 nodes and 300 contacts from a fixed linear congruential stream.
+    let mut x = 7u64;
+    let mut next = |m: u64| {
+        x = x.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
+        (x >> 33) % m
+    };
+    let mut b = TraceBuilder::new().num_nodes(40);
+    for _ in 0..300 {
+        let (u, v) = (next(40) as u32, next(40) as u32);
+        let start = next(10_000) as f64;
+        if u != v {
+            b = b.contact_secs(u, v, start, start + 1.0 + next(600) as f64);
+        }
+    }
+    let trace = b.build();
+    let (_, dir, _) = single_shard(&trace, "threads");
+    let n = trace.num_nodes();
+    let serial: Vec<SourceProfiles> = {
+        let set = map_set(&dir).expect("map");
+        (0..n)
+            .map(|s| set.row(s).expect("row").expect("covered").clone())
+            .collect()
+    };
+    let set = map_set(&dir).expect("map");
+    let barrier = std::sync::Barrier::new(2);
+    let read = |sources: Vec<u32>| -> Vec<(u32, SourceProfiles)> {
+        sources
+            .into_iter()
+            .map(|s| {
+                barrier.wait();
+                (s, set.row(s).expect("row").expect("covered").clone())
+            })
+            .collect()
+    };
+    let (even, odd) = std::thread::scope(|scope| {
+        let even = scope.spawn(|| read((0..n).step_by(2).collect()));
+        let odd = scope.spawn(|| read((1..n).step_by(2).rev().collect()));
+        (even.join().expect("even"), odd.join().expect("odd"))
+    });
+    assert_eq!(even.len() + odd.len(), n as usize);
+    for (s, row) in even.into_iter().chain(odd) {
+        assert_eq!(row, serial[s as usize], "source {s}");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Pinned values of the artifact checksum: a change to it is a format
+/// change.
+#[test]
+fn checksum_test_vectors() {
+    let ramp: Vec<u8> = (0..=255u8).collect();
+    let vectors: [(&[u8], u64); 6] = [
+        (b"", 0x3ff1_0f37_2b96_78bc),
+        (b"a", 0x6e8f_41b3_8db5_4258),
+        (b"foobar", 0x5c06_48bf_7ed0_a479),
+        (b"OMNPROF1OMNPROF1OMNPROF1OMNPROF1", 0x741f_ca5c_99a0_66fb),
+        (&ramp[..37], 0x5a08_3d52_ac56_e13a),
+        (&ramp, 0x9c4e_f9ef_ba85_84e4),
+    ];
+    for (bytes, want) in vectors {
+        assert_eq!(checksum(bytes), want, "{} bytes", bytes.len());
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Every single-bit flip and every single-byte change of a random body
+    /// changes its checksum.
+    #[test]
+    fn every_single_byte_change_changes_the_checksum(
+        body in prop::collection::vec(any_byte(), 1..100),
+    ) {
+        let want = checksum(&body);
+        let mut edited = body.clone();
+        for i in 0..body.len() {
+            for bit in 0..8 {
+                edited[i] = body[i] ^ (1 << bit);
+                prop_assert!(checksum(&edited) != want, "bit {} of byte {}", bit, i);
+            }
+            for b in 0..=255u8 {
+                edited[i] = b;
+                prop_assert_eq!(checksum(&edited) == want, b == body[i], "byte {} = {}", i, b);
+            }
+            edited[i] = body[i];
+        }
+    }
+}
+
+/// Every row of `set`, read by one [`MappedSet::rows`] scan per shard;
+/// the first failing row's error.
+fn scan(set: &MappedSet) -> Result<Vec<&SourceProfiles>, ArtifactError> {
+    set.shards()
+        .iter()
+        .flat_map(|s| set.rows(s.range().begin..s.range().end))
+        .map(|row| row.map(|row| row.expect("a shard covers its range")))
+        .collect()
+}
+
+/// A shard file split into its header, ROW_INDEX body and ROWS body.
+fn split_shard(file: &[u8]) -> (Vec<u8>, Vec<u8>, Vec<u8>) {
+    let header_len = u32::from_le_bytes(file[12..16].try_into().expect("4 bytes")) as usize;
+    // The table ends with the ROW_INDEX then the ROWS entry, each
+    // (id u32, len u64, checksum u64), before the header checksum.
+    let index_len = u64::from_le_bytes(
+        file[header_len - 44..header_len - 36]
+            .try_into()
+            .expect("8 bytes"),
+    ) as usize;
+    let rows_at = header_len + index_len;
+    (
+        file[..header_len].to_vec(),
+        file[header_len..rows_at].to_vec(),
+        file[rows_at..].to_vec(),
+    )
+}
+
+/// Recomputes the checksum of every index entry whose span lies inside
+/// `body`, so edited rows reach the decoder.
+fn reseal_rows(index: &mut [u8], body: &[u8]) {
+    let mut start = 4u64;
+    for entry in index.chunks_exact_mut(16) {
+        let end = u64::from_le_bytes(entry[..8].try_into().expect("8 bytes"));
+        if start < end && end <= body.len() as u64 {
+            let ck = checksum(&body[start as usize..end as usize]);
+            entry[8..].copy_from_slice(&ck.to_le_bytes());
+        }
+        start = end;
+    }
+}
+
+/// Reassembles a shard from `header`, `index` and `body`, resealing the
+/// two section-table entries and the header checksum.
+fn reseal(header: &[u8], index: &[u8], body: &[u8]) -> Vec<u8> {
+    let h = header.len();
+    let mut file = header.to_vec();
+    file[h - 44..h - 36].copy_from_slice(&(index.len() as u64).to_le_bytes());
+    file[h - 36..h - 28].copy_from_slice(&checksum(index).to_le_bytes());
+    file[h - 24..h - 16].copy_from_slice(&(body.len() as u64).to_le_bytes());
+    let prefix = &body[..body.len().min(4)];
+    file[h - 16..h - 8].copy_from_slice(&checksum(prefix).to_le_bytes());
+    let header_ck = checksum(&file[..h - 8]);
+    file[h - 8..].copy_from_slice(&header_ck.to_le_bytes());
+    file.extend_from_slice(index);
+    file.extend_from_slice(body);
+    file
 }
 
 /// Every byte value, 0 through 255.

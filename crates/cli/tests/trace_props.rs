@@ -287,7 +287,10 @@ fn check_of_a_capped_universe_with_one_contact_finishes() {
 
 /// `omnet precompute` on a `MAX_NODES` universe with one contact writes its
 /// 2²⁰ mostly empty rows without a slot per node per row, and the shards
-/// answer `delivery` byte for byte like the trace does.
+/// answer `delivery` and `diameter` byte for byte like the trace does: a
+/// point query reads one row of the one 2²⁰-row shard, and the diameter
+/// scan reads the shard with one read, folding only sources that reach
+/// someone.
 #[test]
 fn precompute_of_a_capped_universe_with_one_contact_finishes() {
     let (dir, trace) = capped_universe_trace("0 1 0 10\n");
@@ -311,6 +314,14 @@ fn precompute_of_a_capped_universe_with_one_contact_finishes() {
         &[&["delivery".as_ref(), trace.as_ref()], &query[1..]].concat(),
         limit,
     );
+    assert!(via_trace.status.success() && via_shards.status.success());
+    assert_eq!(
+        String::from_utf8_lossy(&via_shards.stdout),
+        String::from_utf8_lossy(&via_trace.stdout)
+    );
+    let diameter = std::ffi::OsStr::new("diameter");
+    let via_shards = run_within(&["query".as_ref(), shards.as_ref(), diameter], limit);
+    let via_trace = run_within(&[diameter, trace.as_ref()], limit);
     assert!(via_trace.status.success() && via_shards.status.success());
     assert_eq!(
         String::from_utf8_lossy(&via_shards.stdout),

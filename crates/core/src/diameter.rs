@@ -9,7 +9,9 @@
 //! form over a delivery-function frontier, every curve here is an exact
 //! integral over start times, not a sampled estimate.
 
-use crate::algorithm::{AllPairsProfiles, Arcs, HopBound, ProfileOptions, SourceProfiles};
+use crate::algorithm::{
+    AllPairsProfiles, Arcs, HopBound, LevelRuns, ProfileOptions, SourceProfiles,
+};
 use crate::delivery::DeliveryFunction;
 use omnet_temporal::{Dur, Interval, LdEa, NodeId, Time, Trace};
 
@@ -157,8 +159,16 @@ impl SuccessCurves {
                 "rows must be sources 0..{node_limit} in ascending order"
             );
         }
-        let partials = omnet_analysis::par_map(node_limit as usize, |si| {
-            source_partial(rows[si], node_limit, opts, windows, &weights)
+        // As in `compute_windowed`, a source that reaches no one adds +0.0
+        // everywhere, so only the others get a partial: on a sparse
+        // universe that is a few sources, not one matrix per node.
+        let active: Vec<&SourceProfiles> = rows[..node_limit as usize]
+            .iter()
+            .copied()
+            .filter(|r| !(r.tail().is_empty() && r.levels().iter().all(LevelRuns::is_empty)))
+            .collect();
+        let partials = omnet_analysis::par_map(active.len(), |i| {
+            source_partial(active[i], node_limit, opts, windows, &weights)
         });
         SuccessCurves::reduce(opts, partials, node_limit as usize)
     }

@@ -16,9 +16,13 @@ use std::sync::{Arc, Mutex};
 
 /// Where answers come from.
 enum Backend {
-    /// A persisted artifact set: headers verified at load time, each
-    /// shard's rows read, checksum-verified and decoded on the first query
-    /// against it. The §4.4 induction never runs on this path.
+    /// A persisted artifact set: headers verified at load time, a shard's
+    /// row index read and verified on the first query against it, and
+    /// each row read, checked against its index checksum and decoded on
+    /// the first query that needs it, so a point query costs one row. A
+    /// diameter scans the rows with one read per shard. Decoded rows stay
+    /// resident for the engine's life. The §4.4 induction never runs on
+    /// this path.
     Shards(MappedSet),
     /// An in-memory trace; rows are computed on first use per source and
     /// memoized, so interactive one-shot commands stay cheap. The flat CSR
@@ -85,12 +89,12 @@ impl Row<'_> {
 impl Engine {
     /// Opens every `*.omna` shard under `dir` into an artifact-backed
     /// engine. Emits one `serve.load` span. Shard headers (magic, version,
-    /// header checksum, section extents) are verified here; each shard's
-    /// ROWS section is read, checksummed and validated on the first query
-    /// against it, so cold-start costs one header read per shard — and a
-    /// corrupted or truncated shard is still rejected (with
-    /// [`QueryError::ShardRejected`]) before a single row is answered
-    /// from it.
+    /// header checksum, section extents) are verified here; a shard's row
+    /// index is read and verified on the first query against it, and each
+    /// row on the first query that needs it, so cold-start costs one
+    /// header read per shard — and a corrupted or truncated row is still
+    /// rejected (with [`QueryError::ShardRejected`]) before it answers
+    /// anything.
     pub fn load_dir(dir: &Path) -> Result<Engine, ArtifactError> {
         let mut span = omnet_obs::span("serve.load").with("dir", dir.display().to_string());
         let set = map_set(dir)?;
@@ -363,8 +367,8 @@ impl Engine {
                     self.meta.num_nodes
                 };
                 let mut rows = Vec::with_capacity(limit as usize);
-                for s in 0..limit {
-                    match set.row(s) {
+                for (s, row) in (0..limit).zip(set.rows(0..limit)) {
+                    match row {
                         Ok(Some(row)) => rows.push(row),
                         Ok(None) => return Err(QueryError::ShardMissing { source: s }),
                         Err(e) => {
@@ -534,15 +538,14 @@ impl Engine {
 
     fn stats(&self) -> StatsAnswer {
         let (shards, rows, max_useful_hops) = match &self.backend {
-            // `max_useful_hops` reads only the shards already verified —
-            // a stats query must not force the whole set to decode.
+            // `max_useful_hops` reads only the rows already decoded — a
+            // stats query must not force the whole set to decode.
             Backend::Shards(set) => (
                 set.shards().len(),
                 set.num_rows(),
                 set.shards()
                     .iter()
-                    .filter_map(omnet_artifact::MappedShard::materialized_rows)
-                    .flatten()
+                    .flat_map(omnet_artifact::MappedShard::decoded_rows)
                     .map(SourceProfiles::converged_at)
                     .max(),
             ),
@@ -922,7 +925,7 @@ mod tests {
         let QueryResponse::Stats(s) = engine.answer(&Query::Stats).unwrap() else {
             panic!("wrong variant")
         };
-        // ...and after one query the touched shard has materialized.
+        // ...and after one query the touched row has been decoded.
         assert!(s.max_useful_hops.is_some());
         // The lazy engine starts empty and fills as it answers.
         let lazy = Engine::from_trace(Arc::new(t), ProfileOptions::default(), "toy");

@@ -19,7 +19,7 @@
 //! each depth stores `min(store_levels, converged_at)` levels and gives
 //! every pair the same unbounded frontier.
 
-use omnet_artifact::{map_shard, write_shard, ArtifactMeta, ShardRange};
+use omnet_artifact::{map_set, write_shard, ArtifactMeta, ShardRange};
 use omnet_core::{AllPairsProfiles, HopBound, LevelRuns, ProfileOptions, SourceProfiles};
 use omnet_mobility::Dataset;
 use omnet_temporal::{Contact, Interval, LdEa, Time, Trace, TraceBuilder};
@@ -174,7 +174,11 @@ fn shard_round_trip(
         end: trace.num_nodes(),
     };
     write_shard(&path, &meta, range, rows).unwrap();
-    let loaded = map_shard(&path).unwrap().rows().unwrap().to_vec();
+    let loaded = map_set(&dir)
+        .unwrap()
+        .rows(0..trace.num_nodes())
+        .map(|row| row.unwrap().unwrap().clone())
+        .collect();
     std::fs::remove_dir_all(&dir).ok();
     loaded
 }
